@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptySet, NotReduced, RangeError
-from .expsets import MonomialSet, square_support
+import numpy as np
+
+from .errors import CrossCheckFailed, EmptySet, NotReduced, RangeError
+from .expsets import ExpVec, MonomialSet, exact_dtype, square_support
 from .families import (
     half_hyperbolic_set,
     hyperbolic_set,
@@ -26,21 +28,38 @@ from .families import (
 CSV_HEADER = "family,q,m,d_design,n,k,fb,d_exact,d_source,square_fb"
 
 
-def footprint_bound(A: MonomialSet) -> int:
-    """min over a in A of prod(q - a_j); a lower bound for d(C_A)."""
+def footprint_on_grid(A: MonomialSet, sizes: tuple[int, ...]) -> tuple[int, tuple[ExpVec, ...]]:
+    """min over a in A of prod(n_j - a_j) for per-axis grid sizes n_j, and
+    the members attaining it, in lex order.  A must be nonempty with
+    a_j < n_j; the products are exact (Python integers past int64)."""
+    top = math.prod(sizes)
+    if exact_dtype(top) is object:
+        pts = np.array(A.exponents, dtype=object).reshape(-1, A.m)
+    else:
+        pts = A.points()
+    prods = np.prod(np.array(sizes, dtype=pts.dtype) - pts, axis=1)
+    best = prods.min()
+    exps = A.exponents
+    return int(best), tuple(exps[i] for i in np.flatnonzero(prods == best))
+
+
+def _check_footprint_input(A: MonomialSet) -> None:
     if not A.reduced:
         raise NotReduced("the footprint bound needs exponents in [0, q-1]")
     if len(A) == 0:
         raise EmptySet("the zero code has no footprint bound")
-    q = A.q
-    return min(math.prod(q - c for c in v) for v in A)
+
+
+def footprint_bound(A: MonomialSet) -> int:
+    """min over a in A of prod(q - a_j); a lower bound for d(C_A)."""
+    _check_footprint_input(A)
+    return footprint_on_grid(A, (A.q,) * A.m)[0]
 
 
 def footprint_argmins(A: MonomialSet) -> tuple:
     """All exponent vectors attaining the footprint bound, in lex order."""
-    fb = footprint_bound(A)
-    q = A.q
-    return tuple(v for v in A if math.prod(q - c for c in v) == fb)
+    _check_footprint_input(A)
+    return footprint_on_grid(A, (A.q,) * A.m)[1]
 
 
 def rm_min_distance(q: int, m: int, s: int) -> int:
@@ -62,7 +81,7 @@ def halfhyp_dimension_formula(q: int, d: int) -> int:
 
     The summand's denominator 4i - 2q is negative throughout, so the floor
     must round toward minus infinity — Python's // does exactly that.  The
-    result is asserted against direct enumeration on every call; the formula
+    result is checked against direct enumeration on every call; the formula
     has enough sign traps that trusting it bare would be reckless.
     """
     if not isinstance(d, int) or not 1 <= d < q * q:
@@ -70,9 +89,8 @@ def halfhyp_dimension_formula(q: int, d: int) -> int:
     total = 0
     for i in range((q * q - d) // (2 * q) + 1):
         total += (d + (q + 2) * (2 * i - q)) // (4 * i - 2 * q)
-    assert total == len(half_hyperbolic_set(q, 2, d)), (
-        f"dimension formula disagrees with enumeration at q={q}, d={d}"
-    )
+    if total != len(half_hyperbolic_set(q, 2, d)):
+        raise CrossCheckFailed(f"dimension formula disagrees with enumeration at q={q}, d={d}")
     return total
 
 
@@ -97,7 +115,7 @@ def best_wrm_square_design(q: int, d: int) -> MonomialSet:
     d = 1: the full box — every square clears a bound of 1, so nothing beats
     dimension q^2.  Odd d >= 3: the plain degree set with s = q - (d+1)/2.
     Even d: the tilted staircase (first variant).  The claimed square bound
-    is asserted before returning — the value promised is the value delivered.
+    is checked before returning — the value promised is the value delivered.
     """
     if not isinstance(d, int) or not 1 <= d < q:
         raise RangeError(f"need 1 <= d < q, got d={d!r}")
@@ -107,7 +125,9 @@ def best_wrm_square_design(q: int, d: int) -> MonomialSet:
         A = reed_muller_set(q, 2, q - (d + 1) // 2)
     else:
         A = wrm_even_optimal_set(q, d, "b1")
-    assert footprint_bound(square_support(A)) >= d
+    fb = footprint_bound(square_support(A))
+    if fb < d:
+        raise CrossCheckFailed(f"square footprint {fb} < designed {d} at q={q}")
     return A
 
 

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from . import evalcode
-from .bounds import footprint_bound
+from .bounds import footprint_on_grid
 from .errors import EmptySet, NotReduced, RangeError
 from .expsets import ExpVec, MonomialSet
 from .gf import FieldSpec, field
@@ -176,18 +176,6 @@ def _check_ready(A: MonomialSet) -> None:
         raise EmptySet("the zero code has no distance to certify")
 
 
-def _argmins_on_grid(B: MonomialSet, sizes: tuple[int, ...]):
-    best = None
-    arg = []
-    for v in B:
-        p = math.prod(n - c for n, c in zip(sizes, v))
-        if best is None or p < best:
-            best, arg = p, [v]
-        elif p == best:
-            arg.append(v)
-    return best, arg
-
-
 def _box_factors(beta: ExpVec, punctured: tuple[bool, ...]) -> tuple[WitnessFactor, ...]:
     # roots are the first beta_i points of each axis's grid: indices 0.. on a
     # full axis, 1.. on a punctured one (index 0 is the removed zero)
@@ -210,7 +198,7 @@ def box_certificate(A: MonomialSet) -> DistanceCertificate | None:
     """
     _check_ready(A)
     q, m = A.q, A.m
-    fb, argmins = _argmins_on_grid(A, (q,) * m)
+    fb, argmins = footprint_on_grid(A, (q,) * m)
     for alpha in argmins:
         box = itertools.product(*[range(c + 1) for c in alpha])
         if all(v in A for v in box):
@@ -302,7 +290,7 @@ def divisor_certificate(A: MonomialSet) -> DistanceCertificate | None:
     """
     _check_ready(A)
     q, m = A.q, A.m
-    fb, argmins = _argmins_on_grid(A, (q,) * m)
+    fb, argmins = footprint_on_grid(A, (q,) * m)
     found = _divisor_search(A, argmins, (False,) * m)
     if found is None:
         return None
@@ -358,9 +346,9 @@ def certified_min_distance(A: MonomialSet) -> CertifiedDistance:
             vecs = [v[:axis] + (v[axis] - s,) + v[axis + 1:] for v in vecs]
     shift_t = tuple(shift)
     punctured = tuple(s > 0 for s in shift_t)
-    B = MonomialSet(q, m, vecs)
+    B = MonomialSet(q, m, vecs) if any(punctured) else A
     sizes = tuple(q - 1 if p else q for p in punctured)
-    fb_grid, argmins = _argmins_on_grid(B, sizes)
+    fb_grid, argmins = footprint_on_grid(B, sizes)
 
     if not any(punctured):
         cert = box_certificate(A) or divisor_certificate(A)

@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .certify import certified_min_distance
 from .errors import RangeError, SquareCodesError
-from .expsets import MonomialSet, square_support
+from .expsets import MonomialSet, reduce_exponent, square_support
 from .families import (
     ConvexRegion,
     RationalHalfspace,
@@ -187,7 +187,7 @@ def cmd_verify(args) -> int:
         (a, b)
         for a in A
         for b in A
-        if tuple((0 if x + y == 0 else (x + y - 1) % (A.q - 1) + 1) for x, y in zip(a, b))
+        if tuple(reduce_exponent(x + y, A.q) for x, y in zip(a, b))
         == violation
     )
     _emit(

@@ -55,3 +55,9 @@ class BudgetExceeded(SquareCodesError, RuntimeError):
 
 class SupportOutsideA(SquareCodesError, ValueError):
     """A witness polynomial uses a monomial outside the allowed exponent set."""
+
+
+class CrossCheckFailed(SquareCodesError, RuntimeError):
+    """Two independent computations of one quantity disagree.  This marks a
+    defect in the package, not a bad input; it is raised instead of an
+    ``assert`` so that the check also runs under ``python -O``."""

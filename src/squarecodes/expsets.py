@@ -11,17 +11,47 @@ an explicit ``reduced`` flag: reduced means every coordinate already lies in
 Minkowski sums come up because the componentwise (Schur) product of two
 codewords multiplies monomials, i.e. adds exponents:
 ``square_support(A) = reduce(A + A)`` is the support of the square code.
+
+The kernels work on dense integer grids: a reduced set keeps a (k, m) array
+of its members, and every boolean grid a kernel builds is checked against the
+point budget before it is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
-from .errors import EmptySet, MismatchedAmbient, NotReduced, RangeError
+import numpy as np
+
+from .errors import BudgetExceeded, EmptySet, MismatchedAmbient, NotReduced, RangeError
+from .gf import POINT_BUDGET
 
 ExpVec = tuple[int, ...]
 
 MAX_VARS = 8
+
+
+def exact_dtype(top: int):
+    """int64 when no value a computation reaches exceeds ``top`` in magnitude,
+    Python integers (object dtype) otherwise, so that nothing wraps around."""
+    return np.int64 if top < 1 << 63 else object
+
+
+def check_ambient(q: int, m: int) -> None:
+    """The (q, m) rules every MonomialSet obeys."""
+    if q < 2:
+        raise RangeError(f"ambient order must be >= 2, got {q}")
+    if not 1 <= m <= MAX_VARS:
+        raise RangeError(f"number of variables must be in [1, {MAX_VARS}], got {m}")
+
+
+def check_box(shape, what: str) -> None:
+    """Refuse a grid of the given shape over the point budget before it is built."""
+    size = math.prod(shape)
+    if size > POINT_BUDGET:
+        dims = " x ".join(map(str, shape))
+        raise BudgetExceeded(f"{what}: {dims} = {size} points exceed the point budget {POINT_BUDGET}")
 
 
 def reduce_exponent(i: int, q: int) -> int:
@@ -31,6 +61,12 @@ def reduce_exponent(i: int, q: int) -> int:
     if i == 0:
         return 0
     return (i - 1) % (q - 1) + 1
+
+
+def fold_indices(side: int, q: int) -> np.ndarray:
+    """reduce_exponent of every index in [0, side-1], as an int64 array."""
+    t = np.arange(side)
+    return np.where(t == 0, 0, (t - 1) % (q - 1) + 1)
 
 
 @dataclass(frozen=True)
@@ -47,10 +83,7 @@ class MonomialSet:
     reduced: bool = dc_field(init=False)
 
     def __init__(self, q: int, m: int, exponents):
-        if q < 2:
-            raise RangeError(f"ambient order must be >= 2, got {q}")
-        if not 1 <= m <= MAX_VARS:
-            raise RangeError(f"number of variables must be in [1, {MAX_VARS}], got {m}")
+        check_ambient(q, m)
         seen = set()
         for v in exponents:
             t = tuple(int(c) for c in v)
@@ -64,6 +97,32 @@ class MonomialSet:
         object.__setattr__(self, "exponents", tuple(sorted(seen)))
         object.__setattr__(self, "reduced", all(c <= q - 1 for v in seen for c in v))
         object.__setattr__(self, "_index", frozenset(seen))
+        object.__setattr__(self, "_points", None)
+
+    @classmethod
+    def _from_indicator(cls, q: int, m: int, grid: np.ndarray) -> "MonomialSet":
+        """Bulk constructor for sets the package computes itself: the members
+        of a boolean grid over a corner [0, n_1) x ... x [0, n_m) of the box,
+        each n_j <= q.  The caller has validated the ambient and the grid;
+        input from outside the package goes through ``__init__``."""
+        pts = np.argwhere(grid)  # lexicographic and duplicate-free
+        pts.flags.writeable = False
+        exps = tuple(zip(*pts.T.tolist()))
+        obj = object.__new__(cls)
+        for name, value in (
+            ("q", q), ("m", m), ("exponents", exps), ("reduced", True),
+            ("_index", frozenset(exps)), ("_points", pts),
+        ):
+            object.__setattr__(obj, name, value)
+        return obj
+
+    def points(self) -> np.ndarray:
+        """The members as a read-only (k, m) int64 array, in lex order."""
+        if self._points is None:
+            pts = np.array(self.exponents, dtype=np.int64).reshape(-1, self.m)
+            pts.flags.writeable = False
+            object.__setattr__(self, "_points", pts)
+        return self._points
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -108,13 +167,34 @@ def square_support(A: MonomialSet) -> MonomialSet:
     """Support of the componentwise-product square: reduce(A + A).
 
     Requires a reduced input — squaring an unreduced set silently conflates
-    distinct functions, so it is refused.
+    distinct functions, so it is refused.  With hi the largest coordinate of
+    A on each axis, one shifted copy of A's indicator over [0, hi] per member
+    of A is OR-ed into the sums grid [0, 2 hi]; every axis with 2 hi > q - 1
+    is then folded by OR-ing its slab [q, 2 hi] onto [1, 2 hi - q + 1].  Only
+    the sums grid is budgeted, so small coordinates stay cheap in a large
+    ambient.
     """
     if not A.reduced:
         raise NotReduced("square_support needs exponents in [0, q-1]; call reduce_set first")
     if len(A) == 0:
         raise EmptySet("square of an empty support")
-    return reduce_set(minkowski_sum(A, A))
+    q, m = A.q, A.m
+    pts = A.points()
+    hi = pts.max(axis=0).tolist()
+    check_box([2 * h + 1 for h in hi], "the sums grid of a square support")
+    core = np.zeros([h + 1 for h in hi], dtype=bool)
+    core[tuple(pts.T)] = True
+    sums = np.zeros([2 * h + 1 for h in hi], dtype=bool)
+    for a in pts.tolist():
+        sums[tuple(slice(c, c + h + 1) for c, h in zip(a, hi))] |= core
+    for axis, h in enumerate(hi):
+        if 2 * h >= q:
+            head = [slice(None)] * m
+            tail = [slice(None)] * m
+            head[axis], tail[axis] = slice(1, 2 * h - q + 2), slice(q, 2 * h + 1)
+            sums[tuple(head)] |= sums[tuple(tail)]
+    folded = tuple(slice(0, min(2 * h + 1, q)) for h in hi)
+    return MonomialSet._from_indicator(q, m, sums[folded])
 
 
 def is_lower_set(A: MonomialSet) -> bool:

@@ -8,6 +8,12 @@ the optimal even-distance staircases), and the ConvexRegion machinery turns
 executable verifier: algorithm1_verify enumerates every half-integer point of
 [0, q-1]^m, and a clean pass guarantees that the square of the region's
 lattice-point code lives inside C_B.
+
+Constructors and region scans are predicates over ``np.indices`` grids.
+Rational data is multiplied through by the lcm of its denominators, so every
+comparison is between integers: int64 when the largest reachable magnitude
+fits, Python integers otherwise.  Every grid is checked against the point
+budget before it is built.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
 
+import numpy as np
+
 from .errors import (
-    BudgetExceeded,
+    CrossCheckFailed,
     DimensionMismatch,
     InvalidOrder,
     MismatchedAmbient,
@@ -26,8 +34,16 @@ from .errors import (
     ParityError,
     RangeError,
 )
-from .expsets import ExpVec, MonomialSet, dilate, reduce_exponent, square_support
-from .gf import POINT_BUDGET
+from .expsets import (
+    ExpVec,
+    MonomialSet,
+    check_ambient,
+    check_box,
+    dilate,
+    exact_dtype,
+    fold_indices,
+    square_support,
+)
 
 Epsilon = tuple[int, ...]
 
@@ -36,12 +52,31 @@ Epsilon = tuple[int, ...]
 # family constructors
 # ---------------------------------------------------------------------------
 
+def _grid(q: int, m: int, side: int, top: int, what: str):
+    """``np.indices`` of [0, side-1]^m as open grids, once the ambient and the
+    point budget are checked, in a dtype that holds every magnitude up to
+    ``top`` exactly."""
+    check_ambient(q, m)
+    check_box((side,) * m, what)
+    return np.indices((side,) * m, sparse=True, dtype=exact_dtype(top))
+
+
+def _clamp(x: int, lo: int, hi: int) -> int:
+    return max(lo, min(x, hi))
+
+
+def _lcm_scale(*fractions: Fraction) -> int:
+    """The lcm of the denominators: multiplying by it makes every value an integer."""
+    return math.lcm(*(x.denominator for x in fractions))
+
+
 def reed_muller_set(q: int, m: int, s: int) -> MonomialSet:
     """All exponents in [0, q-1]^m of total degree at most s."""
     if not isinstance(s, int) or s < 0:
         raise RangeError(f"degree bound must be a natural number, got {s!r}")
-    vecs = [v for v in product(range(q), repeat=m) if sum(v) <= s]
-    return MonomialSet(q, m, vecs)
+    top = m * (q - 1)
+    t = _grid(q, m, q, top, "a Reed-Muller set")
+    return MonomialSet._from_indicator(q, m, sum(t) <= min(s, top))
 
 
 def weighted_rm_set(q: int, m: int, s, weights) -> MonomialSet:
@@ -52,22 +87,21 @@ def weighted_rm_set(q: int, m: int, s, weights) -> MonomialSet:
     if any(x <= 0 for x in w):
         raise RangeError("weights must be positive")
     bound = Fraction(s)
-    vecs = [
-        v
-        for v in product(range(q), repeat=m)
-        if sum(wj * c for wj, c in zip(w, v)) <= bound
-    ]
-    return MonomialSet(q, m, vecs)
+    scale = _lcm_scale(bound, *w)
+    W = [int(x * scale) for x in w]
+    top = sum(W) * (q - 1)
+    t = _grid(q, m, q, top, "a weighted Reed-Muller set")
+    degree = sum(c * x for c, x in zip(W, t))
+    return MonomialSet._from_indicator(q, m, degree <= _clamp(int(bound * scale), -1, top))
 
 
 def hyperbolic_set(q: int, m: int, d: int) -> MonomialSet:
     """The largest exponent set whose footprint bound is still >= d."""
     if not isinstance(d, int) or d < 1:
         raise RangeError(f"designed distance must be a positive integer, got {d!r}")
-    vecs = [
-        v for v in product(range(q), repeat=m) if math.prod(q - c for c in v) >= d
-    ]
-    return MonomialSet(q, m, vecs)
+    top = q**m
+    t = _grid(q, m, q, top + 1, "a hyperbolic set")
+    return MonomialSet._from_indicator(q, m, math.prod(q - x for x in t) >= min(d, top + 1))
 
 
 def half_hyperbolic_set(q: int, m: int, d: int) -> MonomialSet:
@@ -80,13 +114,8 @@ def half_hyperbolic_set(q: int, m: int, d: int) -> MonomialSet:
         raise RangeError(f"designed distance must be a positive integer, got {d!r}")
     if d >= q**m:
         raise InvalidOrder(f"designed distance {d} must be < q^m = {q**m}")
-    half = (q - 1) // 2
-    vecs = [
-        v
-        for v in product(range(half + 1), repeat=m)
-        if math.prod(q - 2 * c for c in v) >= d
-    ]
-    return MonomialSet(q, m, vecs)
+    t = _grid(q, m, (q - 1) // 2 + 1, q**m, "a half-hyperbolic set")
+    return MonomialSet._from_indicator(q, m, math.prod(q - 2 * x for x in t) >= d)
 
 
 def wrm_even_witness(q: int, d: int, variant: str = "b1"):
@@ -129,17 +158,17 @@ def wrm_even_optimal_set(q: int, d: int, variant: str = "b1") -> MonomialSet:
     variant = variant.lower()
     s = q - d // 2
     jmax = (q - d) // 2
-    vecs = []
-    for i, j in product(range(q), repeat=2):
-        tilted = j if variant == "b1" else i
-        if i + j < s or (i + j == s and tilted <= jmax):
-            vecs.append((i, j))
-    explicit = MonomialSet(q, 2, vecs)
-    realized = weighted_rm_set(q, 2, bound, weights)
-    assert explicit.exponents == realized.exponents, (
-        "witness weights do not reproduce the staircase: "
-        f"q={q}, d={d}, variant={variant}"
+    i, j = _grid(q, 2, q, 2 * q, "a staircase")
+    tilted = j if variant == "b1" else i
+    explicit = MonomialSet._from_indicator(
+        q, 2, (i + j < s) | ((i + j == s) & (tilted <= jmax))
     )
+    realized = weighted_rm_set(q, 2, bound, weights)
+    if explicit.exponents != realized.exponents:
+        raise CrossCheckFailed(
+            "witness weights do not reproduce the staircase: "
+            f"q={q}, d={d}, variant={variant}"
+        )
     return explicit
 
 
@@ -329,14 +358,53 @@ def region_from_json(obj: dict) -> ConvexRegion:
     return ConvexRegion(int(m), hs, box, d)
 
 
+def _region_mask(C: ConvexRegion, q: int, side: int, scale: int) -> np.ndarray:
+    """Membership in C of every point x = t/scale, t in [0, side-1]^m, as a
+    boolean grid; scale is 1 for lattice points and 2 for half-integer points.
+
+    Every test is an integer comparison: the box becomes integer bounds on t,
+    a halfspace is multiplied through by scale and the lcm of its
+    denominators, and the product constraint prod(q - 2x) >= d on the half
+    box 0 <= 2x <= q-1 becomes prod(q - c t) >= d with c = 2/scale.  The
+    caller has checked the grid against the point budget.
+    """
+    m = C.m
+    shape = (side,) * m
+    t = np.indices(shape, sparse=True)
+    mask = np.ones(shape, dtype=bool)
+    if C.box is not None:
+        lo, hi = C.box
+        coords = np.arange(side)
+        ok = (coords >= _clamp(math.ceil(lo * scale), 0, side)) & (
+            coords <= _clamp(math.floor(hi * scale), -1, side - 1)
+        )
+        for x in t:
+            mask &= ok[x]
+    for h in C.halfspaces:
+        k = _lcm_scale(h.bound, *h.normal)
+        N = [int(c * k) for c in h.normal]
+        top = sum(abs(c) for c in N) * (side - 1)
+        x = np.indices(shape, sparse=True, dtype=exact_dtype(top + 1))
+        lhs = sum(c * xj for c, xj in zip(N, x))
+        mask &= lhs <= _clamp(int(h.bound * k * scale), -top - 1, top)
+    if C.product_bound is not None:
+        c = 2 // scale
+        top = q**m
+        factor = np.array(
+            [q - c * v if c * v <= q - 1 else 0 for v in range(side)],
+            dtype=exact_dtype(top + 1),
+        )
+        mask &= math.prod(factor[x] for x in t) >= min(C.product_bound, top + 1)
+    return mask
+
+
 def region_lattice_points(C: ConvexRegion, q: int) -> MonomialSet:
     """All integer points of [0, q-1]^m inside the region, as a MonomialSet."""
     if not isinstance(q, int) or q < 2:
         raise RangeError(f"q must be an integer >= 2, got {q!r}")
-    if q**C.m > POINT_BUDGET:
-        raise BudgetExceeded(f"{q}^{C.m} lattice points exceed the point budget")
-    vecs = [v for v in product(range(q), repeat=C.m) if C.contains(v, q)]
-    return MonomialSet(q, C.m, vecs)
+    check_ambient(q, C.m)
+    check_box((q,) * C.m, "the lattice points of a region")
+    return MonomialSet._from_indicator(q, C.m, _region_mask(C, q, q, 1))
 
 
 def algorithm1_violation(C: ConvexRegion, B: MonomialSet) -> tuple[int, ...] | None:
@@ -350,17 +418,17 @@ def algorithm1_violation(C: ConvexRegion, B: MonomialSet) -> tuple[int, ...] | N
         raise NotReduced("the target set must be reduced")
     if C.m != B.m:
         raise DimensionMismatch(f"region has m={C.m}, set has m={B.m}")
-    q = B.q
-    if (2 * q - 1) ** B.m > POINT_BUDGET:
-        raise BudgetExceeded("half-integer grid exceeds the point budget")
-    for t in product(range(2 * q - 1), repeat=B.m):
-        folded = tuple(reduce_exponent(c, q) for c in t)
-        if folded in B:
-            continue
-        c = tuple(Fraction(x, 2) for x in t)
-        if C.contains(c, q):
-            return t
-    return None
+    q, m = B.q, B.m
+    side = 2 * q - 1
+    check_box((side,) * m, "the half-integer grid of Algorithm 1")  # covers B's q^m grid too
+    member = np.zeros((q,) * m, dtype=bool)
+    member[tuple(B.points().T)] = True
+    outside = ~member[np.ix_(*[fold_indices(side, q)] * m)]
+    bad = outside & _region_mask(C, q, side, 2)
+    if not bad.any():
+        return None
+    # C order is lex order: the first True is the scalar scan's first hit
+    return tuple(int(c) for c in np.unravel_index(int(bad.argmax()), bad.shape))
 
 
 def algorithm1_verify(C: ConvexRegion, B: MonomialSet) -> bool:

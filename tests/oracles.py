@@ -1,0 +1,83 @@
+"""Scalar reference definitions of the vectorized exponent-set kernels.
+
+Each function walks every point (or every pair) with plain Python integers
+and Fractions, the way the package computed these sets before its kernels
+became integer grid operations.  The property tests in test_kernels.py
+require the package to agree with them exactly.
+"""
+
+import math
+from fractions import Fraction
+from itertools import product
+
+from squarecodes.expsets import MonomialSet, minkowski_sum, reduce_exponent, reduce_set
+
+
+def square_support_pairwise(A: MonomialSet) -> MonomialSet:
+    """fold(A + A) from all k^2 pairwise sums."""
+    return reduce_set(minkowski_sum(A, A))
+
+
+def reed_muller_ref(q: int, m: int, s: int) -> MonomialSet:
+    return MonomialSet(q, m, [v for v in product(range(q), repeat=m) if sum(v) <= s])
+
+
+def weighted_rm_ref(q: int, m: int, s, weights) -> MonomialSet:
+    w = tuple(Fraction(x) for x in weights)
+    bound = Fraction(s)
+    vecs = [
+        v
+        for v in product(range(q), repeat=m)
+        if sum(wj * c for wj, c in zip(w, v)) <= bound
+    ]
+    return MonomialSet(q, m, vecs)
+
+
+def hyperbolic_ref(q: int, m: int, d: int) -> MonomialSet:
+    vecs = [v for v in product(range(q), repeat=m) if math.prod(q - c for c in v) >= d]
+    return MonomialSet(q, m, vecs)
+
+
+def half_hyperbolic_ref(q: int, m: int, d: int) -> MonomialSet:
+    half = (q - 1) // 2
+    vecs = [
+        v
+        for v in product(range(half + 1), repeat=m)
+        if math.prod(q - 2 * c for c in v) >= d
+    ]
+    return MonomialSet(q, m, vecs)
+
+
+def staircase_ref(q: int, d: int, variant: str) -> MonomialSet:
+    """The explicit two-piece description of the even-d optimal staircase."""
+    s = q - d // 2
+    jmax = (q - d) // 2
+    vecs = []
+    for i, j in product(range(q), repeat=2):
+        tilted = j if variant == "b1" else i
+        if i + j < s or (i + j == s and tilted <= jmax):
+            vecs.append((i, j))
+    return MonomialSet(q, 2, vecs)
+
+
+def footprint_ref(A: MonomialSet, sizes) -> tuple:
+    """(min over a of prod(n_j - a_j), the members attaining it in lex order)."""
+    prods = [math.prod(n - c for n, c in zip(sizes, v)) for v in A]
+    best = min(prods)
+    return best, tuple(v for v, p in zip(A, prods) if p == best)
+
+
+def region_lattice_points_ref(C, q: int) -> MonomialSet:
+    return MonomialSet(q, C.m, [v for v in product(range(q), repeat=C.m) if C.contains(v, q)])
+
+
+def algorithm1_violation_ref(C, B: MonomialSet):
+    """The first t in [0, 2q-2]^m, in lex order, whose fold escapes B while
+    t/2 lies in C; None when there is none."""
+    q = B.q
+    for t in product(range(2 * q - 1), repeat=B.m):
+        if tuple(reduce_exponent(c, q) for c in t) in B:
+            continue
+        if C.contains(tuple(Fraction(x, 2) for x in t), q):
+            return t
+    return None

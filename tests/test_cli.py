@@ -73,6 +73,21 @@ def test_construct_rejects_out_of_range(capsys):
     assert "InvalidOrder" in err
 
 
+def test_construct_over_the_point_budget_exits_2():
+    # 256^3 points: refused before the grid is allocated, with no traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "squarecodes.cli", "construct", "--family", "hyp",
+         "--q", "256", "--m", "3", "--d", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: BudgetExceeded:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_construct_names_missing_flag(capsys):
     code, _, err = run_cli(capsys, "construct", "--family", "rm", "--q", "11", "--m", "2")
     assert code == 2
