@@ -18,12 +18,7 @@ import numpy as np
 
 from .errors import CrossCheckFailed, EmptySet, NotReduced, RangeError
 from .expsets import ExpVec, MonomialSet, exact_dtype, square_support
-from .families import (
-    half_hyperbolic_set,
-    hyperbolic_set,
-    reed_muller_set,
-    wrm_even_optimal_set,
-)
+from .families import half_hyperbolic_set, reed_muller_set, wrm_even_optimal_set
 
 CSV_HEADER = "family,q,m,d_design,n,k,fb,d_exact,d_source,square_fb"
 

@@ -3,17 +3,24 @@
 A certificate is a fully expanded, machine-checkable witness: a product of
 univariate factors whose evaluation is a codeword of C_A with weight exactly
 equal to the (possibly shift-improved) footprint bound, proving the bound is
-the exact minimum distance.  Three constructions are tried:
+the exact minimum distance.
 
-* box — the product of alpha_i distinct linear factors per axis; works
-  whenever some footprint argmin has its whole coordinate box inside A.
+Every certificate comes out of one pipeline, which takes a shift s such that
+X^s divides every member of A (s may be zero).  It divides X^s out, giving
+the residual set B (B = A when s = 0); takes the footprint argmins of B over
+the grid punctured on each axis with s_i > 0 (the point x_i = 0 dropped, so
+q - 1 points there); searches them for a witness of one of two shapes;
+multiplies the witness back by X^s; and re-verifies it against A.
+
+* box — the product of beta_i distinct linear factors per axis; works
+  whenever some argmin beta has its whole coordinate box inside B.
 * divisor — products of binomials X^l - beta^t (l a divisor of q-1), whose
   root counts come from the binomial root-counting lemma; covers sparse sets
   like {1, X^l} that contain no box.
-* shifted — when every member of A is divisible by some X_i^{s_i}, the common
-  monomial factor is pulled out and the residual set B is certified over the
-  grid with those axes punctured (x_i != 0).  Multiplying back by X^s turns a
-  punctured-grid witness for B into a full-grid witness for A.
+
+The kind is the shape's name for a zero shift and ``shifted`` otherwise.
+certified_min_distance pulls out the per-axis minimum of A and tries both
+shapes; box_certificate and divisor_certificate use a zero shift and one.
 
 Shifting does NOT preserve the full-grid distance (a single monomial X*Y^3
 over F_5 has weight 16, while its shift {(0,0)} has weight 25); what is true
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 
 from . import evalcode
 from .bounds import footprint_on_grid
-from .errors import EmptySet, NotReduced, RangeError
+from .errors import CrossCheckFailed, EmptySet, NotReduced, RangeError
 from .expsets import ExpVec, MonomialSet
 from .gf import FieldSpec, field
 
@@ -89,7 +96,7 @@ class DistanceCertificate:
     kind is one of box / divisor / shifted / none; the last carries no
     witness and only marks a lower bound.  alpha is the exponent vector of A
     whose footprint product the witness attains; shift is the common monomial
-    pulled out first (all zeros unless kind = shifted).
+    pulled out first (None when there is none).
     """
 
     kind: str
@@ -149,9 +156,8 @@ class CertifiedDistance:
 
 def _verify(cert: DistanceCertificate, A: MonomialSet) -> None:
     w = evalcode.weight_of_witness(cert.to_polynomial(), A)
-    assert w == cert.weight, (
-        f"certificate claims weight {cert.weight} but evaluates to {w}"
-    )
+    if w != cert.weight:
+        raise CrossCheckFailed(f"certificate claims weight {cert.weight} but evaluates to {w}")
 
 
 def root_count_binomial(l: int, j: int, F: FieldSpec) -> int:
@@ -176,43 +182,22 @@ def _check_ready(A: MonomialSet) -> None:
         raise EmptySet("the zero code has no distance to certify")
 
 
-def _box_factors(beta: ExpVec, punctured: tuple[bool, ...]) -> tuple[WitnessFactor, ...]:
-    # roots are the first beta_i points of each axis's grid: indices 0.. on a
-    # full axis, 1.. on a punctured one (index 0 is the removed zero)
-    factors = []
-    for i, b in enumerate(beta):
-        if b:
-            start = 1 if punctured[i] else 0
-            factors.append(
-                WitnessFactor(axis=i, kind="linear", roots=tuple(range(start, start + b)))
-            )
-    return tuple(factors)
+def _box_search(B: MonomialSet, argmins, punctured: tuple[bool, ...]):
+    """First (beta, factors) whose coordinate box [0, beta_1] x ... x
+    [0, beta_m] lies inside B: the product of beta_i linear factors per axis.
 
-
-def box_certificate(A: MonomialSet) -> DistanceCertificate | None:
-    """Product-of-linear-factors witness at a footprint argmin, if one fits.
-
-    Needs some argmin alpha whose full box [0, alpha_1] x ... x [0, alpha_m]
-    lies inside A — true for every downward-closed set.  Returns None when no
-    argmin's box fits.
+    The roots are the first beta_i points of each axis's grid: indices 0.. on
+    a full axis, 1.. on a punctured one (index 0 is the removed zero).
     """
-    _check_ready(A)
-    q, m = A.q, A.m
-    fb, argmins = footprint_on_grid(A, (q,) * m)
-    for alpha in argmins:
-        box = itertools.product(*[range(c + 1) for c in alpha])
-        if all(v in A for v in box):
-            cert = DistanceCertificate(
-                kind="box",
-                q=q,
-                m=m,
-                alpha=alpha,
-                shift=None,
-                factors=_box_factors(alpha, (False,) * m),
-                weight=fb,
+    for beta in argmins:
+        if all(v in B for v in itertools.product(*[range(c + 1) for c in beta])):
+            starts = [1 if p else 0 for p in punctured]
+            factors = tuple(
+                WitnessFactor(axis=i, kind="linear", roots=tuple(range(starts[i], starts[i] + b)))
+                for i, b in enumerate(beta)
+                if b
             )
-            _verify(cert, A)
-            return cert
+            return beta, factors
     return None
 
 
@@ -279,6 +264,55 @@ def _divisor_search(B: MonomialSet, argmins, punctured: tuple[bool, ...]):
     return None
 
 
+_SEARCHES = {"box": _box_search, "divisor": _divisor_search}
+
+
+def _residual(A: MonomialSet, shift: ExpVec) -> MonomialSet:
+    """A with X^shift divided out of every member; A itself for a zero shift."""
+    if not any(shift):
+        return A
+    return MonomialSet(A.q, A.m, (tuple(c - s for c, s in zip(v, shift)) for v in A))
+
+
+def _certify(A: MonomialSet, shift: ExpVec, shapes) -> tuple[int, DistanceCertificate | None]:
+    """The certificate pipeline: the footprint bound of A / X^shift over the
+    grid punctured on the shifted axes, and the first verified witness among
+    ``shapes`` (names in _SEARCHES), or None.
+
+    A must be reduced and nonempty, and X^shift must divide every member.
+    """
+    punctured = tuple(s > 0 for s in shift)
+    B = _residual(A, shift)
+    fb, argmins = footprint_on_grid(B, tuple(A.q - 1 if p else A.q for p in punctured))
+    for shape in shapes:
+        found = _SEARCHES[shape](B, argmins, punctured)
+        if found is not None:
+            beta, factors = found
+            cert = DistanceCertificate(
+                kind="shifted" if any(punctured) else shape,
+                q=A.q,
+                m=A.m,
+                alpha=tuple(b + s for b, s in zip(beta, shift)),
+                shift=shift if any(punctured) else None,
+                factors=factors,
+                weight=fb,
+            )
+            _verify(cert, A)  # full-grid evaluation, support checked inside A
+            return fb, cert
+    return fb, None
+
+
+def box_certificate(A: MonomialSet) -> DistanceCertificate | None:
+    """Product-of-linear-factors witness at a footprint argmin, if one fits.
+
+    Needs some argmin alpha whose full box [0, alpha_1] x ... x [0, alpha_m]
+    lies inside A — true for every downward-closed set.  Returns None when no
+    argmin's box fits.
+    """
+    _check_ready(A)
+    return _certify(A, (0,) * A.m, ("box",))[1]
+
+
 def divisor_certificate(A: MonomialSet) -> DistanceCertificate | None:
     """Binomial-product witness for sets too sparse to contain a box.
 
@@ -289,23 +323,7 @@ def divisor_certificate(A: MonomialSet) -> DistanceCertificate | None:
     supports lies inside A — per-axis membership alone is not enough.
     """
     _check_ready(A)
-    q, m = A.q, A.m
-    fb, argmins = footprint_on_grid(A, (q,) * m)
-    found = _divisor_search(A, argmins, (False,) * m)
-    if found is None:
-        return None
-    alpha, factors = found
-    cert = DistanceCertificate(
-        kind="divisor",
-        q=q,
-        m=m,
-        alpha=alpha,
-        shift=None,
-        factors=factors,
-        weight=fb,
-    )
-    _verify(cert, A)
-    return cert
+    return _certify(A, (0,) * A.m, ("divisor",))[1]
 
 
 def shift_reduce(A: MonomialSet, axis: int) -> tuple[MonomialSet, int] | None:
@@ -321,8 +339,7 @@ def shift_reduce(A: MonomialSet, axis: int) -> tuple[MonomialSet, int] | None:
     s = min(v[axis] for v in A)
     if s == 0:
         return None
-    vecs = [v[:axis] + (v[axis] - s,) + v[axis + 1:] for v in A]
-    return MonomialSet(A.q, A.m, vecs), s
+    return _residual(A, tuple(s if j == axis else 0 for j in range(A.m))), s
 
 
 def certified_min_distance(A: MonomialSet) -> CertifiedDistance:
@@ -336,64 +353,15 @@ def certified_min_distance(A: MonomialSet) -> CertifiedDistance:
     never smaller than the direct footprint bound of A.
     """
     _check_ready(A)
-    q, m = A.q, A.m
-    shift = []
-    vecs = list(A.exponents)
-    for axis in range(m):
-        s = min(v[axis] for v in vecs)
-        shift.append(s)
-        if s:
-            vecs = [v[:axis] + (v[axis] - s,) + v[axis + 1:] for v in vecs]
-    shift_t = tuple(shift)
-    punctured = tuple(s > 0 for s in shift_t)
-    B = MonomialSet(q, m, vecs) if any(punctured) else A
-    sizes = tuple(q - 1 if p else q for p in punctured)
-    fb_grid, argmins = footprint_on_grid(B, sizes)
-
-    if not any(punctured):
-        cert = box_certificate(A) or divisor_certificate(A)
-        if cert is not None:
-            return CertifiedDistance(d=cert.weight, exact=True, certificate=cert)
-        return CertifiedDistance(
-            d=fb_grid,
-            exact=False,
-            certificate=DistanceCertificate(
-                kind="none", q=q, m=m, alpha=None, shift=None, factors=(), weight=None
-            ),
-        )
-
-    for beta in argmins:
-        box = itertools.product(*[range(c + 1) for c in beta])
-        if all(v in B for v in box):
-            cert = DistanceCertificate(
-                kind="shifted",
-                q=q,
-                m=m,
-                alpha=tuple(b + s for b, s in zip(beta, shift_t)),
-                shift=shift_t,
-                factors=_box_factors(beta, punctured),
-                weight=fb_grid,
-            )
-            _verify(cert, A)  # full-grid evaluation, support checked inside A
-            return CertifiedDistance(d=fb_grid, exact=True, certificate=cert)
-    found = _divisor_search(B, argmins, punctured)
-    if found is not None:
-        beta, factors = found
-        cert = DistanceCertificate(
-            kind="shifted",
-            q=q,
-            m=m,
-            alpha=tuple(b + s for b, s in zip(beta, shift_t)),
-            shift=shift_t,
-            factors=factors,
-            weight=fb_grid,
-        )
-        _verify(cert, A)
-        return CertifiedDistance(d=fb_grid, exact=True, certificate=cert)
+    shift = tuple(min(v[j] for v in A) for j in range(A.m))
+    fb, cert = _certify(A, shift, ("box", "divisor"))
+    if cert is not None:
+        return CertifiedDistance(d=fb, exact=True, certificate=cert)
     return CertifiedDistance(
-        d=fb_grid,
+        d=fb,
         exact=False,
         certificate=DistanceCertificate(
-            kind="none", q=q, m=m, alpha=None, shift=shift_t, factors=(), weight=None
+            kind="none", q=A.q, m=A.m, alpha=None, shift=shift if any(shift) else None,
+            factors=(), weight=None,
         ),
     )

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .bounds import (
     CSV_HEADER,
@@ -40,8 +41,6 @@ from .families import (
     wrm_even_optimal_set,
     wrm_even_witness,
 )
-
-FAMILIES = ("rm", "wrm", "hyp", "halfhyp", "wrm-even-b1", "wrm-even-b2", "file")
 
 COMPARE_HEADER = CSV_HEADER + ",alg1,winner"
 
@@ -79,6 +78,38 @@ def _need(args, name):
     return value
 
 
+def _rm(q, m, s):
+    if s.denominator != 1:
+        raise RangeError(f"--family rm needs an integer --s, got {s}")
+    return reed_muller_set(q, m, int(s))
+
+
+def _wrm(q, m, s, weights):
+    return weighted_rm_set(q, m, s, _parse_weights(weights, m))
+
+
+# --family name -> (the selector flags it needs, a constructor taking their
+# values in that order).  A family without --d is designed by the footprint
+# bound of its set, and one without --m lives in two variables.
+FAMILIES = {
+    "rm": (("q", "m", "s"), _rm),
+    "wrm": (("q", "m", "s", "weights"), _wrm),
+    "hyp": (("q", "m", "d"), hyperbolic_set),
+    "halfhyp": (("q", "m", "d"), half_hyperbolic_set),
+    "wrm-even-b1": (("q", "d"), partial(wrm_even_optimal_set, variant="b1")),
+    "wrm-even-b2": (("q", "d"), partial(wrm_even_optimal_set, variant="b2")),
+}
+
+
+def _resolve_family(family: str, values: dict) -> tuple[MonomialSet, object]:
+    """A registry family's set and designed distance, from its flag values."""
+    needs, build = FAMILIES[family]
+    A = build(*[values[flag] for flag in needs])
+    if "d" in needs:
+        return A, values["d"]
+    return A, footprint_bound(A) if len(A) else ""
+
+
 def build_selected_set(args) -> tuple[MonomialSet, str, object]:
     """Resolve the selector flags into (set, family name, designed distance).
 
@@ -87,33 +118,12 @@ def build_selected_set(args) -> tuple[MonomialSet, str, object]:
     """
     family = args.family
     if family == "file":
-        A = _load_set(_need(args, "file"))
-        return A, family, ""
-    q = _need(args, "q")
-    if family == "rm":
-        m = _need(args, "m")
-        s = _need(args, "s")
-        if s.denominator != 1:
-            raise RangeError(f"--family rm needs an integer --s, got {s}")
-        A = reed_muller_set(q, m, int(s))
-        return A, family, footprint_bound(A)
-    if family == "wrm":
-        m = _need(args, "m")
-        A = weighted_rm_set(q, m, _need(args, "s"), _parse_weights(_need(args, "weights"), m))
-        if len(A) == 0:
-            return A, family, ""
-        return A, family, footprint_bound(A)
-    if family == "hyp":
-        A = hyperbolic_set(q, _need(args, "m"), _need(args, "d"))
-        return A, family, args.d
-    if family == "halfhyp":
-        A = half_hyperbolic_set(q, _need(args, "m"), _need(args, "d"))
-        return A, family, args.d
-    # wrm-even-b1 / wrm-even-b2 live in two variables by construction
-    if getattr(args, "m", None) not in (None, 2):
+        return _load_set(_need(args, "file")), family, ""
+    needs = FAMILIES[family][0]
+    if "m" not in needs and getattr(args, "m", None) not in (None, 2):
         raise RangeError(f"--family {family} is defined for m=2 only")
-    A = wrm_even_optimal_set(q, _need(args, "d"), family[-2:])
-    return A, family, args.d
+    A, d_design = _resolve_family(family, {flag: _need(args, flag) for flag in needs})
+    return A, family, d_design
 
 
 def _emit(text: str) -> None:
@@ -254,7 +264,7 @@ def cmd_compare(args) -> int:
 REFERENCE_PRESET = (
     ("rm", dict(q=11, m=2, s=6)),
     ("rm", dict(q=11, m=2, s=7)),
-    ("wrm", dict(q=11, m=2, s=15, weights=(5, 3))),
+    ("wrm", dict(q=11, m=2, s=15, weights="5,3")),
     ("hyp", dict(q=11, m=2, d=6)),
     ("hyp", dict(q=11, m=2, d=55)),
     ("halfhyp", dict(q=11, m=2, d=6)),
@@ -264,27 +274,12 @@ REFERENCE_PRESET = (
 )
 
 
-def _preset_row(family: str, params: dict):
-    q = params["q"]
-    if family == "rm":
-        A = reed_muller_set(q, params["m"], params["s"])
-        return A, footprint_bound(A)
-    if family == "wrm":
-        A = weighted_rm_set(q, params["m"], params["s"], params["weights"])
-        return A, footprint_bound(A)
-    if family == "hyp":
-        return hyperbolic_set(q, params["m"], params["d"]), params["d"]
-    if family == "halfhyp":
-        return half_hyperbolic_set(q, params["m"], params["d"]), params["d"]
-    return wrm_even_optimal_set(q, params["d"], family[-2:]), params["d"]
-
-
 def cmd_table(args) -> int:
     if args.preset != "reference":
         raise RangeError(f"unknown preset {args.preset!r}")
     rows = []
     for family, params in REFERENCE_PRESET:
-        A, d_design = _preset_row(family, params)
+        A, d_design = _resolve_family(family, params)
         report = params_report(A, effort=args.effort, budget=args.budget)
         rows.append((family, A, d_design, report))
     if args.format == "json":
@@ -308,7 +303,7 @@ def cmd_table(args) -> int:
 
 
 def _add_selector(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=(*FAMILIES, "file"))
     p.add_argument("--q", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)

@@ -33,7 +33,7 @@ from .errors import (
     SupportOutsideA,
 )
 from .expsets import ExpVec, MonomialSet
-from .gf import FieldSpec, enumerate_points, field
+from .gf import FieldSpec, field
 
 DEFAULT_CLASS_BUDGET = 10**7
 BUDGET_ENV_VAR = "SQUARECODES_BUDGET"
@@ -77,7 +77,7 @@ class GeneratorMatrix:
             raise DimensionMismatch(f"code lengths differ: {self.n} vs {other.n}")
 
 
-def generator_matrix(A: MonomialSet, budget: int | None = None) -> GeneratorMatrix:
+def generator_matrix(A: MonomialSet) -> GeneratorMatrix:
     """Evaluate every monomial of A over the full grid.
 
     Unreduced exponents are fine: evaluation applies x^q = x pointwise, which
@@ -164,7 +164,7 @@ def dual_matrix(G: GeneratorMatrix) -> GeneratorMatrix:
     return GeneratorMatrix(F, G.m, H)
 
 
-def schur_square_matrix(G: GeneratorMatrix, budget: int | None = None) -> GeneratorMatrix:
+def schur_square_matrix(G: GeneratorMatrix) -> GeneratorMatrix:
     """Basis of the span of all componentwise products of row pairs."""
     k = G.k
     if k == 0:

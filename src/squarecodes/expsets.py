@@ -20,6 +20,7 @@ point budget before it is allocated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -69,6 +70,15 @@ def fold_indices(side: int, q: int) -> np.ndarray:
     return np.where(t == 0, 0, (t - 1) % (q - 1) + 1)
 
 
+def _integers(values) -> tuple[int, ...]:
+    """Python or numpy integers as ints; floats and strings are refused, not
+    truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise RangeError(f"expected integers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class MonomialSet:
     """An ambient (q, m) plus a finite set of exponent vectors.
@@ -86,7 +96,7 @@ class MonomialSet:
         check_ambient(q, m)
         seen = set()
         for v in exponents:
-            t = tuple(int(c) for c in v)
+            t = _integers(v)
             if len(t) != m:
                 raise RangeError(f"exponent vector {t} has length {len(t)}, expected {m}")
             if any(c < 0 for c in t):
@@ -146,7 +156,8 @@ class MonomialSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MonomialSet":
-        return cls(int(obj["q"]), int(obj["m"]), obj["exponents"])
+        q, m = _integers((obj["q"], obj["m"]))
+        return cls(q, m, obj["exponents"])
 
 
 def reduce_set(A: MonomialSet) -> MonomialSet:

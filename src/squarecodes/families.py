@@ -29,7 +29,6 @@ from .errors import (
     CrossCheckFailed,
     DimensionMismatch,
     InvalidOrder,
-    MismatchedAmbient,
     NotReduced,
     ParityError,
     RangeError,
@@ -439,26 +438,6 @@ def algorithm1_verify(C: ConvexRegion, B: MonomialSet) -> bool:
     themselves are fine.
     """
     return algorithm1_violation(C, B) is None
-
-
-def d_epsilon_points(q: int, m: int, d: int, eps: Epsilon) -> list[tuple[int, ...]]:
-    """Doubled points of the eps-orthant whose folded product drops below d.
-
-    Each axis ranges over [0, q-1] (eps_i = 0) or [q, 2q-2] (eps_i = 1); the
-    factor q + eps_i(q-1) - t_i is then exactly q minus the folded coordinate.
-    The union over all eps is the full bad set scanned by algorithm1_violation
-    with B the hyperbolic set of designed distance d.
-    """
-    if not isinstance(d, int) or d < 1:
-        raise RangeError(f"designed distance must be a positive integer, got {d!r}")
-    if len(eps) != m or any(e not in (0, 1) for e in eps):
-        raise RangeError(f"epsilon must be a 0/1 vector of length {m}, got {eps}")
-    axes = [range(q) if e == 0 else range(q, 2 * q - 1) for e in eps]
-    return [
-        t
-        for t in product(*axes)
-        if math.prod(q + e * (q - 1) - c for e, c in zip(eps, t)) < d
-    ]
 
 
 # ---------------------------------------------------------------------------

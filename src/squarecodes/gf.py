@@ -271,16 +271,6 @@ class FieldSpec:
             return pow(a, n, self.p)
         return self._exp[(self._log[a] * n) % (self.q - 1)]
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise InversionOfZero("0 has no multiplicative order")
-        order = self.q - 1
-        for r in _factorize(self.q - 1):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
-
     def primitive_element(self) -> int:
         """Smallest-index element of multiplicative order q-1."""
         if self._primitive is None:

@@ -3,13 +3,15 @@
 Each function walks every point (or every pair) with plain Python integers
 and Fractions, the way the package computed these sets before its kernels
 became integer grid operations.  The property tests in test_kernels.py
-require the package to agree with them exactly.
+require the package to agree with them exactly.  The last two are helpers
+that only the tests need.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
 
+from squarecodes.errors import RangeError
 from squarecodes.expsets import MonomialSet, minkowski_sum, reduce_exponent, reduce_set
 
 
@@ -81,3 +83,34 @@ def algorithm1_violation_ref(C, B: MonomialSet):
         if C.contains(tuple(Fraction(x, 2) for x in t), q):
             return t
     return None
+
+
+def d_epsilon_points(q: int, m: int, d: int, eps) -> list[tuple[int, ...]]:
+    """Doubled points of the eps-orthant whose folded product drops below d.
+
+    Each axis ranges over [0, q-1] (eps_i = 0) or [q, 2q-2] (eps_i = 1); the
+    factor q + eps_i(q-1) - t_i is then exactly q minus the folded coordinate.
+    The union over all eps is the full bad set scanned by algorithm1_violation
+    with B the hyperbolic set of designed distance d.
+    """
+    if not isinstance(d, int) or d < 1:
+        raise RangeError(f"designed distance must be a positive integer, got {d!r}")
+    if len(eps) != m or any(e not in (0, 1) for e in eps):
+        raise RangeError(f"epsilon must be a 0/1 vector of length {m}, got {eps}")
+    axes = [range(q) if e == 0 else range(q, 2 * q - 1) for e in eps]
+    return [
+        t
+        for t in product(*axes)
+        if math.prod(q + e * (q - 1) - c for e, c in zip(eps, t)) < d
+    ]
+
+
+def element_order(F, a: int) -> int:
+    """Multiplicative order of a nonzero element of F, by repeated products."""
+    if a == 0:
+        raise ValueError("0 has no multiplicative order")
+    order, x = 1, a
+    while x != 1:
+        x = F.mul(x, a)
+        order += 1
+    return order

@@ -121,8 +121,10 @@ def test_box_witness_support_stays_inside_a():
 
 def test_divisor_single_binomial():
     # {1, X^3} over F_7: X^3 - beta with beta = alpha^3 kills 3 points per row
-    cert = divisor_certificate(MonomialSet(7, 2, [(0, 0), (3, 0)]))
+    A = MonomialSet(7, 2, [(0, 0), (3, 0)])
+    cert = divisor_certificate(A)
     assert cert.kind == "divisor"
+    assert certified_min_distance(A).certificate == cert
     assert cert.weight == 28
     assert [f.to_json() for f in cert.factors] == [
         {"axis": 0, "kind": "binomial", "l": 3, "c": 6}
@@ -131,8 +133,10 @@ def test_divisor_single_binomial():
 
 def test_divisor_chain_of_binomials():
     # {1, X^2, X^4} over F_7: (X^2 - beta)(X^2 - beta^2) has 4 distinct roots
-    cert = divisor_certificate(MonomialSet(7, 2, [(0, 0), (2, 0), (4, 0)]))
+    A = MonomialSet(7, 2, [(0, 0), (2, 0), (4, 0)])
+    cert = divisor_certificate(A)
     assert cert.weight == 21
+    assert certified_min_distance(A).certificate == cert
     assert [(f.l, f.c) for f in cert.factors] == [(2, 2), (2, 4)]
     poly = cert.to_polynomial()
     assert set(poly) == {(0, 0), (2, 0), (4, 0)}
@@ -142,6 +146,7 @@ def test_divisor_where_chain_fits_but_box_does_not():
     A = MonomialSet(5, 2, [(0, 0), (2, 0)])
     cert = divisor_certificate(A)
     assert cert is not None and cert.weight == 15
+    assert certified_min_distance(A).certificate == cert
     assert exhaustive_d(A) == 15
 
 
@@ -165,6 +170,7 @@ def test_divisor_multi_axis():
     cert = divisor_certificate(A)
     assert cert is not None
     assert cert.weight == footprint_bound(A) == 20
+    assert certified_min_distance(A).certificate == cert
     assert exhaustive_d(A) == 20
 
 
@@ -226,9 +232,11 @@ def test_shifted_divisor_certificate():
 
 
 def test_unshifted_divisor_through_the_pipeline():
-    res = certified_min_distance(MonomialSet(7, 2, [(0, 0), (2, 0), (4, 0)]))
+    A = MonomialSet(7, 2, [(0, 0), (2, 0), (4, 0)])
+    res = certified_min_distance(A)
     assert res.exact and res.d == 21
     assert res.certificate.kind == "divisor"
+    assert res.certificate == divisor_certificate(A)
 
 
 def test_lower_bound_only_when_nothing_matches():
@@ -276,6 +284,7 @@ def test_lower_sets_are_always_certified_exactly():
         A = MonomialSet(3, 2, vecs)
         res = certified_min_distance(A)
         assert res.exact and res.certificate.kind == "box"
+        assert res.certificate == box_certificate(A)
         assert res.d == footprint_bound(A) == exhaustive_d(A)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: golden fixtures, exit codes, determinism."""
 
+import argparse
 import json
 import random
 import subprocess
@@ -8,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from squarecodes.cli import main
+from squarecodes.cli import (
+    FAMILIES,
+    REFERENCE_PRESET,
+    _resolve_family,
+    build_parser,
+    build_selected_set,
+    main,
+)
 from squarecodes.expsets import MonomialSet
 from squarecodes.families import check_square_designed, hyperbolic_set
 
@@ -115,6 +123,30 @@ def test_file_selector_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "construct", "--family", "file", "--file", str(path))
     assert code == 0
     assert MonomialSet.from_json(json.loads(out)).exponents == A.exponents
+
+
+def test_reference_preset_rows_match_their_flags():
+    parser = build_parser()
+    for family, params in REFERENCE_PRESET:
+        argv = ["construct", "--family", family]
+        for flag, value in params.items():
+            argv += [f"--{flag}", str(value)]
+        A, name, d_design = build_selected_set(parser.parse_args(argv))
+        B, d_table = _resolve_family(family, params)
+        assert (name, A, d_design) == (family, B, d_table)
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for verb in ("construct", "square", "params", "certify"):
+        family = next(a for a in verbs.choices[verb]._actions if a.dest == "family")
+        assert list(family.choices) == [*FAMILIES, "file"]
+
+
+@pytest.mark.parametrize("exponents", [[[0.5, 1]], [["a", 1]]])
+def test_file_with_non_integer_exponents_exits_2(tmp_path, capsys, exponents):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"q": 5, "m": 2, "exponents": exponents}))
+    code, out, err = run_cli(capsys, "construct", "--family", "file", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: RangeError:") and "Traceback" not in err
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):

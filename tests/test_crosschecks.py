@@ -2,7 +2,8 @@
 
 Each check compares two independent computations (the staircase against its
 weighted-degree witness, the half-hyperbolic dimension formula against
-enumeration, the designed square footprint against the one computed).  A
+enumeration, the designed square footprint against the one computed, a
+certificate's claimed weight against its evaluation over the grid).  A
 subprocess under ``python -O`` runs each path once as is, then once with one
 side forced wrong, and reports what was raised.
 """
@@ -18,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = r"""
 import json, sys
 from itertools import product
-from squarecodes import bounds, families
+from squarecodes import bounds, certify, evalcode, families
 from squarecodes.errors import CrossCheckFailed
 from squarecodes.expsets import MonomialSet
 
@@ -39,6 +40,8 @@ forced = {
                           "half_hyperbolic_set", lambda *args: full_box(11, 2)),
     "square_design": (lambda: bounds.best_wrm_square_design(11, 4), bounds,
                       "square_support", lambda A: full_box(A.q, A.m)),
+    "certificate": (lambda: certify.certified_min_distance(families.reed_muller_set(11, 2, 6)),
+                    evalcode, "weight_of_witness", lambda poly, A: 0),
 }
 report = {"optimize": sys.flags.optimize, "asserts_run": asserts_run}
 for name, (call, module, attr, wrong) in forced.items():
@@ -64,5 +67,5 @@ def test_forced_mismatches_raise_under_python_O():
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
     assert report["optimize"] == 1 and not report["asserts_run"]
-    for name in ("staircase", "halfhyp_dimension", "square_design"):
+    for name in ("staircase", "halfhyp_dimension", "square_design", "certificate"):
         assert report[name] == "CrossCheckFailed", (name, report)

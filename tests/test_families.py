@@ -15,6 +15,7 @@ from squarecodes.errors import (
     RangeError,
 )
 from squarecodes.expsets import MonomialSet, is_lower_set, square_support
+from oracles import d_epsilon_points
 from squarecodes.families import (
     ConvexRegion,
     RationalHalfspace,
@@ -24,7 +25,6 @@ from squarecodes.families import (
     all_weighted_rm_sets,
     b_epsilon_set,
     check_square_designed,
-    d_epsilon_points,
     half_hyperbolic_set,
     hyperbolic_set,
     necessary_condition_check,

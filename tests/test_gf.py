@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem
 
+from oracles import element_order
 from squarecodes.errors import BudgetExceeded, InvalidOrder, InversionOfZero
 from squarecodes.gf import MAX_FIELD_ORDER, FieldSpec, enumerate_points, field
 
@@ -142,7 +143,7 @@ def test_primitive_element_order_all_small_prime_powers():
     # every prime power up to 2^10: the pinned generator really generates
     for q in prime_powers(1 << 10):
         F = field(q)
-        assert F.element_order(F.primitive_element()) == q - 1
+        assert element_order(F, F.primitive_element()) == q - 1
 
 
 def test_invalid_orders_rejected():
