@@ -35,6 +35,7 @@ the full grid — the lemmas propose, the oracle disposes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -79,14 +80,22 @@ class WitnessFactor:
             if neg:
                 poly[0] = neg
             return poly
-        poly = {0: 1}
-        for r in self.roots:
-            nxt: dict[int, int] = {}
-            for deg, coeff in poly.items():
-                nxt[deg + 1] = F.add(nxt.get(deg + 1, 0), coeff)
-                nxt[deg] = F.add(nxt.get(deg, 0), F.mul(F.neg(r), coeff))
-            poly = {d: c for d, c in nxt.items() if c}
-        return poly
+        return {d: c for d, c in enumerate(_linear_product(F.q, self.roots)) if c}
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _linear_product(q: int, roots: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients, by degree, of the product of (X - r) over ``roots`` in
+    GF(q).  Box witnesses use contiguous root ranges, so few keys recur."""
+    F = field(q)
+    coeffs = [1]
+    for r in roots:
+        neg_r = F.neg(r)
+        # (X - r) * f: every coefficient moves up one degree, plus -r * f
+        coeffs = [
+            F.add(lo, F.mul(neg_r, c)) for lo, c in zip([0] + coeffs, coeffs + [0])
+        ]
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -353,7 +362,8 @@ def certified_min_distance(A: MonomialSet) -> CertifiedDistance:
     never smaller than the direct footprint bound of A.
     """
     _check_ready(A)
-    shift = tuple(min(v[j] for v in A) for j in range(A.m))
+    field(A.q)  # an invalid order is refused before any int64 array is built
+    shift = tuple(A.points().min(axis=0).tolist())
     fb, cert = _certify(A, shift, ("box", "divisor"))
     if cert is not None:
         return CertifiedDistance(d=fb, exact=True, certificate=cert)

@@ -27,7 +27,7 @@ from .bounds import (
     params_report,
 )
 from .certify import certified_min_distance
-from .errors import RangeError, SquareCodesError
+from .errors import EmptySet, RangeError, SquareCodesError
 from .expsets import MonomialSet, reduce_exponent, square_support
 from .families import (
     ConvexRegion,
@@ -182,6 +182,8 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     A = _load_set(args.a)
+    if len(A) == 0:
+        raise EmptySet("verify needs a nonempty set --a")
     if (args.b is None) == (args.hyp is None):
         raise RangeError("verify needs exactly one of --b FILE or --hyp D")
     if args.b is not None:
@@ -189,7 +191,7 @@ def cmd_verify(args) -> int:
     else:
         B = hyperbolic_set(A.q, A.m, args.hyp)
     violation = square_design_violation(A, B)
-    sq_fb = footprint_bound(square_support(A)) if len(A) else None
+    sq_fb = footprint_bound(square_support(A))
     if violation is None:
         _emit(f"pass: square support is contained in the target (square fb = {sq_fb})")
         return 0

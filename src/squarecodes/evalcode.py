@@ -30,9 +30,10 @@ from .errors import (
     DimensionMismatch,
     EmptySet,
     MismatchedFields,
+    RangeError,
     SupportOutsideA,
 )
-from .expsets import ExpVec, MonomialSet
+from .expsets import ExpVec, MonomialSet, reduce_exponent
 from .gf import FieldSpec, field
 
 DEFAULT_CLASS_BUDGET = 10**7
@@ -333,19 +334,50 @@ def exact_min_distance(G: GeneratorMatrix, budget: int | None = None) -> int:
 # witness evaluation
 # ---------------------------------------------------------------------------
 
+def _check_witness_budget(terms: int, q: int, m: int) -> None:
+    """Refuse a witness of ``terms`` monomials when terms * q^m, the entries
+    of its support's generator matrix, exceeds GENMAT_BUDGET."""
+    n = q**m
+    if terms * n > GENMAT_BUDGET:
+        raise BudgetExceeded(
+            f"a witness of {terms} monomials over {n} points exceeds {GENMAT_BUDGET} matrix entries"
+        )
+
+
 def evaluate_poly(poly: dict[ExpVec, int], q: int, m: int) -> np.ndarray:
-    """Evaluate a sparse polynomial (exponent -> coefficient index) on the grid."""
+    """Evaluate a sparse polynomial (exponent -> coefficient index) on the grid.
+
+    Each exponent is folded by x^q = x and the coefficients of terms that
+    fold together are added, giving a dense coefficient tensor over the
+    support's bounding box (at most q entries per axis).  The tensor is then
+    contracted one axis at a time with the table of powers x^e, so the cost
+    is at most m * q * q^m table lookups whatever the support size.  The
+    values come out in enumerate_points order.
+    """
     F = field(q)
     tab = F.tables()
-    n = q**m
-    acc = np.zeros(n, dtype=tab.mul.dtype)
-    support = sorted(exp for exp, c in poly.items() if c)
-    if not support:
-        return acc
-    rows = generator_matrix(MonomialSet(q, m, support)).rows
-    for i, exp in enumerate(support):
-        acc = tab.add[acc, tab.mul[poly[exp], rows[i]]]
-    return acc
+    terms = [(exp, c) for exp, c in poly.items() if c]
+    _check_witness_budget(len(terms), q, m)
+    if not terms:
+        return np.zeros(q**m, dtype=tab.mul.dtype)
+    keys = []
+    for exp, _ in terms:
+        if len(exp) != m:
+            raise RangeError(f"exponent vector {exp} has length {len(exp)}, expected {m}")
+        keys.append(tuple(reduce_exponent(e, q) for e in exp))
+    coeffs = np.zeros([max(col) + 1 for col in zip(*keys)], dtype=tab.mul.dtype)
+    for key, (_, c) in zip(keys, terms):
+        coeffs[key] = tab.add[coeffs[key], c]
+    # the (q, q) tables are read flat: entry [a, b] sits at a * q + b
+    values = coeffs
+    for axis in range(m):
+        rows = np.moveaxis(values, axis, -1).astype(np.intp) * q  # (..., degree)
+        acc = np.zeros(rows.shape[:-1] + (q,), dtype=tab.mul.dtype)
+        for e in range(rows.shape[-1]):
+            term = tab.mul.take(rows[..., e, None] + F.power_column(e))  # c * x^e
+            acc = tab.add.take(acc.astype(np.intp) * q + term)
+        values = np.moveaxis(acc, -1, axis)
+    return values.reshape(-1)
 
 
 def weight_of_witness(poly, A: MonomialSet) -> int:
@@ -361,6 +393,7 @@ def weight_of_witness(poly, A: MonomialSet) -> int:
     support = [exp for exp, c in poly.items() if c]
     if not support:
         raise EmptySet("the zero polynomial is not a distance witness")
+    _check_witness_budget(len(support), A.q, A.m)
     for exp in sorted(support):
         if exp not in A:
             raise SupportOutsideA(f"witness monomial {exp} lies outside the support set")

@@ -127,9 +127,18 @@ class MonomialSet:
         return obj
 
     def points(self) -> np.ndarray:
-        """The members as a read-only (k, m) int64 array, in lex order."""
+        """The members as a read-only (k, m) int64 array, in lex order.
+
+        A coordinate >= 2^63 raises BudgetExceeded: no grid over it fits the
+        point budget."""
         if self._points is None:
-            pts = np.array(self.exponents, dtype=np.int64).reshape(-1, self.m)
+            try:
+                pts = np.array(self.exponents, dtype=np.int64).reshape(-1, self.m)
+            except OverflowError:
+                raise BudgetExceeded(
+                    f"a coordinate of the set is >= 2^63; no grid over it fits the "
+                    f"point budget {POINT_BUDGET}"
+                ) from None
             pts.flags.writeable = False
             object.__setattr__(self, "_points", pts)
         return self._points
@@ -212,11 +221,31 @@ def is_lower_set(A: MonomialSet) -> bool:
     """True iff A is downward closed: with a, it contains every b <= a.
 
     Checking single-coordinate decrements suffices (induction on the sum).
+    A lower set holds the box [0, a] under each member a, so no coordinate
+    reaches |A|; past that test each member is a linear key over the
+    bounding box, ascending because the members are in lex order, and every
+    decrement is looked up among the keys one axis at a time.
     """
-    for a in A:
-        for j, c in enumerate(a):
-            if c and a[:j] + (c - 1,) + a[j + 1:] not in A:
-                return False
+    k = len(A)
+    if k == 0:
+        return True
+    if any(A.exponents[0]):  # a nonempty lower set holds 0, its lex-first member
+        return False
+    try:
+        pts = A.points()
+    except BudgetExceeded:  # a coordinate >= 2^63 > |A|
+        return False
+    sides = pts.max(axis=0) + 1
+    if sides.max() > k:
+        return False
+    dtype = exact_dtype(math.prod(sides.tolist()))
+    strides = [math.prod(sides[j + 1:].tolist()) for j in range(A.m)]
+    keys = pts.astype(dtype) @ np.array(strides, dtype=dtype)
+    for j, stride in enumerate(strides):
+        below = keys[pts[:, j] > 0] - stride
+        at = np.searchsorted(keys, below)
+        if not np.array_equal(keys[at], below):
+            return False
     return True
 
 

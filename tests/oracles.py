@@ -1,18 +1,23 @@
-"""Scalar reference definitions of the vectorized exponent-set kernels.
+"""Scalar reference definitions of the vectorized kernels.
 
-Each function walks every point (or every pair) with plain Python integers
-and Fractions, the way the package computed these sets before its kernels
-became integer grid operations.  The property tests in test_kernels.py
-require the package to agree with them exactly.  The last two are helpers
-that only the tests need.
+Each function walks every point (or every pair, member or monomial) with
+plain Python integers and Fractions, the way the package computed these
+results before its kernels became integer array operations; the witness
+evaluation goes through the generator matrix of the polynomial's support.
+The property tests in test_kernels.py require the package to agree with them
+exactly.  The last two are helpers that only the tests need.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from squarecodes.errors import RangeError
+from squarecodes.evalcode import generator_matrix
 from squarecodes.expsets import MonomialSet, minkowski_sum, reduce_exponent, reduce_set
+from squarecodes.gf import field
 
 
 def square_support_pairwise(A: MonomialSet) -> MonomialSet:
@@ -83,6 +88,43 @@ def algorithm1_violation_ref(C, B: MonomialSet):
         if C.contains(tuple(Fraction(x, 2) for x in t), q):
             return t
     return None
+
+
+def evaluate_poly_ref(poly: dict, q: int, m: int) -> np.ndarray:
+    """A sparse polynomial's values on the grid: the sum of the rows of its
+    support's generator matrix, each times its coefficient."""
+    F = field(q)
+    tab = F.tables()
+    acc = np.zeros(q**m, dtype=tab.mul.dtype)
+    support = sorted(exp for exp, c in poly.items() if c)
+    if not support:
+        return acc
+    rows = generator_matrix(MonomialSet(q, m, support)).rows
+    for i, exp in enumerate(support):
+        acc = tab.add[acc, tab.mul[poly[exp], rows[i]]]
+    return acc
+
+
+def linear_product_ref(F, roots) -> dict:
+    """prod (X - r) over ``roots`` as {degree: coefficient index}, with the
+    field's scalar operations and the zero terms dropped after each factor."""
+    poly = {0: 1}
+    for r in roots:
+        nxt: dict[int, int] = {}
+        for deg, coeff in poly.items():
+            nxt[deg + 1] = F.add(nxt.get(deg + 1, 0), coeff)
+            nxt[deg] = F.add(nxt.get(deg, 0), F.mul(F.neg(r), coeff))
+        poly = {d: c for d, c in nxt.items() if c}
+    return poly
+
+
+def is_lower_set_ref(A: MonomialSet) -> bool:
+    """Downward closure by single-coordinate decrements, member by member."""
+    for a in A:
+        for j, c in enumerate(a):
+            if c and a[:j] + (c - 1,) + a[j + 1:] not in A:
+                return False
+    return True
 
 
 def d_epsilon_points(q: int, m: int, d: int, eps) -> list[tuple[int, ...]]:

@@ -186,6 +186,22 @@ def test_verify_malformed_input(tmp_path, capsys):
     assert code == 2 and "schema" in err
 
 
+def test_verify_refuses_an_empty_set(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"q": 5, "m": 2, "exponents": []}))
+    code, out, err = run_cli(capsys, "verify", "--a", str(empty), "--hyp", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: EmptySet:")
+
+
+def test_square_of_a_coordinate_past_int64_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"q": 2**64, "m": 1, "exponents": [[2**64 - 1]]}))
+    code, out, err = run_cli(capsys, "square", "--family", "file", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: BudgetExceeded:")
+
+
 def test_verify_needs_exactly_one_target(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text(json.dumps(MonomialSet(5, 2, [(0, 0)]).to_json()))

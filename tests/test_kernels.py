@@ -1,24 +1,28 @@
 """The integer-grid kernels agree exactly with their scalar references.
 
 Square supports, the four family constructors, the staircase, the footprint
-bound and Algorithm 1 are computed over numpy grids; oracles.py keeps the
-point-by-point definitions.  Random sets, lower and not, are drawn over
-q in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16} and m in 1..4; where a scalar
-reference would walk more than a few thousand points per example, the
-ambient is capped (noted at each strategy).
+bound, Algorithm 1, the lower-set test and witness evaluation are computed
+over numpy arrays; oracles.py keeps the point-by-point definitions.  Random
+sets, lower and not, are drawn over q in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
+and m in 1..4; where a scalar reference would walk more than a few thousand
+points per example, the ambient is capped (noted at each strategy).
 """
 
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
     algorithm1_violation_ref,
+    evaluate_poly_ref,
     footprint_ref,
     half_hyperbolic_ref,
     hyperbolic_ref,
+    is_lower_set_ref,
+    linear_product_ref,
     reed_muller_ref,
     region_lattice_points_ref,
     square_support_pairwise,
@@ -26,8 +30,10 @@ from oracles import (
     weighted_rm_ref,
 )
 from squarecodes.bounds import footprint_argmins, footprint_bound, footprint_on_grid
+from squarecodes.certify import WitnessFactor, certified_min_distance
 from squarecodes.errors import BudgetExceeded
-from squarecodes.expsets import MonomialSet, square_support
+from squarecodes.evalcode import GENMAT_BUDGET, evaluate_poly, weight_of_witness
+from squarecodes.expsets import MonomialSet, is_lower_set, square_support
 from squarecodes.families import (
     ConvexRegion,
     RationalHalfspace,
@@ -39,7 +45,7 @@ from squarecodes.families import (
     weighted_rm_set,
     wrm_even_optimal_set,
 )
-from squarecodes.gf import POINT_BUDGET
+from squarecodes.gf import POINT_BUDGET, field
 
 QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -108,6 +114,83 @@ def test_square_support_budget_is_checked_before_allocating():
     assert (2 * q - 1) ** 2 > POINT_BUDGET >= q**2
     with pytest.raises(BudgetExceeded):
         square_support(MonomialSet(q, 2, [(0, 0), (q - 1, q - 1)]))
+
+
+# --- lower sets -------------------------------------------------------------------
+
+@st.composite
+def near_lower_sets(draw):
+    """Lower sets with one member dropped or one point added, or neither."""
+    A = draw(lower_sets())
+    vecs = list(A)
+    change = draw(st.sampled_from(("none", "drop", "add")))
+    if change == "drop":
+        vecs.pop(draw(st.integers(0, len(vecs) - 1)))
+    elif change == "add":
+        vecs.append(draw(st.tuples(*[st.integers(0, A.q - 1)] * A.m)))
+    return MonomialSet(A.q, A.m, vecs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(near_lower_sets(), scattered_sets()))
+def test_is_lower_set_matches_reference(A):
+    assert is_lower_set(A) == is_lower_set_ref(A)
+
+
+def test_is_lower_set_with_coordinates_past_int64():
+    # 250^8 linear keys do not fit int64; a coordinate of 2^65 does not fit at all
+    axes = [(0,) * 8] + [tuple(i * (t == j) for t in range(8)) for j in range(8) for i in range(1, 250)]
+    assert is_lower_set(MonomialSet(256, 8, axes))
+    assert not is_lower_set(MonomialSet(256, 8, axes[:100] + axes[101:]))
+    assert not is_lower_set(MonomialSet(2**70, 1, [(0,), (2**65,)]))
+
+
+# --- witness evaluation -------------------------------------------------------
+
+@st.composite
+def sparse_polys(draw):
+    """Up to 12 terms with exponents up to 3q, zero coefficients included, so
+    that terms fold onto each other and cancel."""
+    q, m = draw(ambients(16**3))
+    exps = st.tuples(*[st.integers(0, 3 * q)] * m)
+    poly = draw(st.dictionaries(exps, st.integers(0, q - 1), max_size=12))
+    return poly, q, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_polys())
+def test_evaluate_poly_matches_generator_matrix_route(case):
+    poly, q, m = case
+    got, ref = evaluate_poly(poly, q, m), evaluate_poly_ref(poly, q, m)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_linear_factor_products_match_scalar_products():
+    for q in (4, 9, 16):
+        F = field(q)
+        for start in range(q):
+            for stop in range(start, q + 1):
+                roots = tuple(range(start, stop))
+                factor = WitnessFactor(axis=0, kind="linear", roots=roots)
+                assert factor.univariate(F) == linear_product_ref(F, roots)
+
+
+def test_witness_budget_is_checked_first_at_the_generator_matrix_size():
+    q, m = 256, 2  # q^m = 2^16 points, so 2^10 monomials fill the 2^26 entries
+    at_cap = {(i, j): 1 for i in range(32) for j in range(32)}
+    assert len(at_cap) * q**m == GENMAT_BUDGET
+    assert evaluate_poly(at_cap, q, m).shape == (q**m,)
+    over = {**at_cap, (32, 0): 1}
+    with pytest.raises(BudgetExceeded):
+        evaluate_poly(over, q, m)
+    with pytest.raises(BudgetExceeded):  # before (32, 0) is found outside the set
+        weight_of_witness(over, MonomialSet(q, m, at_cap))
+
+
+def test_witness_budget_refuses_the_large_hyperbolic_box():
+    # a box witness of 11025 monomials over 16^4 points: over 2^26 matrix entries
+    with pytest.raises(BudgetExceeded):
+        certified_min_distance(hyperbolic_set(16, 4, 81))
 
 
 # --- family constructors ----------------------------------------------------
