@@ -5,7 +5,7 @@ minimum distance of the evaluation code on A; for downward-closed sets the
 certify module upgrades it to an exact distance.  The rest of this module is
 the closed-form arithmetic around it: the Reed-Muller distance formula, the
 half-hyperbolic dimension sum, and the dimension comparisons between the
-families, each cross-asserted against direct enumeration where the underlying
+families, each cross-checked against direct enumeration where the underlying
 statement has boundary cases worth distrusting.
 """
 
@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evalcode
 from .errors import CrossCheckFailed, EmptySet, NotReduced, RangeError
 from .expsets import ExpVec, MonomialSet, exact_dtype, square_support
-from .families import half_hyperbolic_set, reed_muller_set, wrm_even_optimal_set
+from .families import (
+    ConvexRegion,
+    RationalHalfspace,
+    half_hyperbolic_set,
+    region_lattice_points,
+    wrm_even_witness,
+)
 
 CSV_HEADER = "family,q,m,d_design,n,k,fb,d_exact,d_source,square_fb"
 
@@ -64,11 +71,7 @@ def rm_min_distance(q: int, m: int, s: int) -> int:
     if s == m * (q - 1):
         return 1
     a, b = divmod(s, q - 1)
-    d = (q - b) * q ** (m - 1 - a)
-    if b == 0 and a >= 1:
-        # the decomposition s = (a-1)(q-1) + (q-1) must give the same value
-        assert d == (q - (q - 1)) * q ** (m - 1 - (a - 1))
-    return d
+    return (q - b) * q ** (m - 1 - a)
 
 
 def halfhyp_dimension_formula(q: int, d: int) -> int:
@@ -104,22 +107,30 @@ def rm_vs_hyp_comparison(q: int, t: int) -> str:
     return "equal"
 
 
-def best_wrm_square_design(q: int, d: int) -> MonomialSet:
-    """The largest weighted-degree set whose square footprint stays >= d.
-
-    d = 1: the full box — every square clears a bound of 1, so nothing beats
-    dimension q^2.  Odd d >= 3: the plain degree set with s = q - (d+1)/2.
-    Even d: the tilted staircase (first variant).  The claimed square bound
-    is checked before returning — the value promised is the value delivered.
-    """
+def wrm_design_region(q: int, d: int) -> ConvexRegion:
+    """The region of [0, q-1]^2 whose lattice points are the weighted-degree
+    design of square footprint >= d (see best_wrm_square_design)."""
     if not isinstance(d, int) or not 1 <= d < q:
         raise RangeError(f"need 1 <= d < q, got d={d!r}")
     if d == 1:
-        A = reed_muller_set(q, 2, 2 * (q - 1))
-    elif d % 2:
-        A = reed_muller_set(q, 2, q - (d + 1) // 2)
+        return ConvexRegion(2, (), (0, q - 1))
+    if d % 2:
+        halfspace = RationalHalfspace((1, 1), q - (d + 1) // 2)
     else:
-        A = wrm_even_optimal_set(q, d, "b1")
+        halfspace = RationalHalfspace(*wrm_even_witness(q, d, "b1"))
+    return ConvexRegion(2, (halfspace,), (0, q - 1))
+
+
+def best_wrm_square_design(q: int, d: int) -> MonomialSet:
+    """The largest weighted-degree set whose square footprint stays >= d.
+
+    The lattice points of wrm_design_region(q, d).  d = 1: the full box —
+    every square clears a bound of 1, so nothing beats dimension q^2.  Odd
+    d >= 3: the plain degree set with s = q - (d+1)/2.  Even d: the tilted
+    staircase (first variant).  The claimed square bound is checked before
+    returning — the value promised is the value delivered.
+    """
+    A = region_lattice_points(wrm_design_region(q, d), q)
     fb = footprint_bound(square_support(A))
     if fb < d:
         raise CrossCheckFailed(f"square footprint {fb} < designed {d} at q={q}")
@@ -131,7 +142,7 @@ def wrm_beats_halfhyp(q: int, d: int) -> bool:
 
     In that range the weighted-degree design strictly beats the
     half-hyperbolic set in dimension at equal designed square distance; the
-    dimension gap is asserted whenever the predicate returns True.
+    dimension gap is checked whenever the predicate returns True.
     """
     if not isinstance(d, int) or not 1 <= d < q:
         raise RangeError(f"need 1 <= d < q, got d={d!r}")
@@ -139,7 +150,8 @@ def wrm_beats_halfhyp(q: int, d: int) -> bool:
     if wins:
         k_wrm = len(best_wrm_square_design(q, d))
         k_hh = len(half_hyperbolic_set(q, 2, d))
-        assert k_wrm > k_hh, f"threshold promised a win at q={q}, d={d}"
+        if k_wrm <= k_hh:
+            raise CrossCheckFailed(f"threshold promised a win at q={q}, d={d}: {k_wrm} <= {k_hh}")
     return wins
 
 
@@ -159,8 +171,8 @@ class ParamsReport:
     square: "ParamsReport | None" = None
 
     def __post_init__(self):
-        if self.d_exact is not None:
-            assert self.fb <= self.d_exact, "footprint bound exceeds exact distance"
+        if self.d_exact is not None and self.fb > self.d_exact:
+            raise CrossCheckFailed(f"footprint bound {self.fb} > exact distance {self.d_exact}")
 
     def to_json(self) -> dict:
         out = {
@@ -194,8 +206,8 @@ def params_csv_row(family: str, q: int, m: int, d_design, report: ParamsReport) 
     )
 
 
-def _leaf_report(A: MonomialSet, effort: str, budget: int | None) -> ParamsReport:
-    from . import certify, evalcode  # deferred: certify depends on this module
+def _leaf_report(A: MonomialSet, effort: str, budget: int) -> ParamsReport:
+    from . import certify  # deferred: certify depends on this module
 
     n = A.q**A.m
     k = len(A)
@@ -221,10 +233,12 @@ def params_report(
     effort = fb_only: bounds only.  certify: exact distance when a
     certificate is found, otherwise just the bound.  exhaustive: certificates
     first, then the enumeration oracle (BudgetExceeded propagates if neither
-    the code nor its dual fits the class budget).
+    the code nor its dual fits the class budget).  A budget other than None
+    or an integer >= 1 raises RangeError at every effort.
     """
     if effort not in ("fb_only", "certify", "exhaustive"):
         raise RangeError(f"unknown effort level {effort!r}")
+    budget = evalcode.resolve_budget(budget)
     if not A.reduced:
         raise NotReduced("parameter reports need a reduced set")
     if len(A) == 0:

@@ -25,13 +25,13 @@ from .bounds import (
     footprint_bound,
     params_csv_row,
     params_report,
+    wrm_design_region,
 )
 from .certify import certified_min_distance
 from .errors import EmptySet, RangeError, SquareCodesError
 from .expsets import MonomialSet, reduce_exponent, square_support
 from .families import (
     ConvexRegion,
-    RationalHalfspace,
     algorithm1_verify,
     half_hyperbolic_set,
     hyperbolic_set,
@@ -39,7 +39,6 @@ from .families import (
     square_design_violation,
     weighted_rm_set,
     wrm_even_optimal_set,
-    wrm_even_witness,
 )
 
 COMPARE_HEADER = CSV_HEADER + ",alg1,winner"
@@ -209,24 +208,13 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _wrm_design_region(q: int, d: int) -> ConvexRegion:
-    """The convex region whose lattice points are best_wrm_square_design(q, d)."""
-    if d == 1:
-        return ConvexRegion(2, (), (0, q - 1))
-    if d % 2:
-        s = q - (d + 1) // 2
-        return ConvexRegion(2, (RationalHalfspace((1, 1), s),), (0, q - 1))
-    weights, bound = wrm_even_witness(q, d, "b1")
-    return ConvexRegion(2, (RationalHalfspace(weights, bound),), (0, q - 1))
-
-
 def _compare_rows(q: int, d: int, effort: str, budget):
     if not isinstance(d, int) or not 1 <= d < q * q:
         raise RangeError(f"need 1 <= d < q^2, got d={d!r}")
     B = hyperbolic_set(q, 2, d)
     rows = [("halfhyp", half_hyperbolic_set(q, 2, d), ConvexRegion(2, (), None, d))]
     if d < q:
-        rows.append(("wrm", best_wrm_square_design(q, d), _wrm_design_region(q, d)))
+        rows.append(("wrm", best_wrm_square_design(q, d), wrm_design_region(q, d)))
     out = []
     for family, A, region in rows:
         report = params_report(A, effort=effort, budget=budget)
@@ -316,7 +304,7 @@ def _add_selector(p: argparse.ArgumentParser) -> None:
 
 def _add_effort(p: argparse.ArgumentParser) -> None:
     p.add_argument("--effort", default="certify", choices=("fb_only", "certify", "exhaustive"))
-    p.add_argument("--budget", type=int, default=None, help="projective class budget override")
+    p.add_argument("--budget", type=int, default=None, help="class budget, an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,14 +19,14 @@ Two exact distance routes are provided and kept deliberately distinct:
 from __future__ import annotations
 
 import math
-import os
+import operator
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
+    CrossCheckFailed,
     DimensionMismatch,
     EmptySet,
     MismatchedFields,
@@ -34,22 +34,26 @@ from .errors import (
     SupportOutsideA,
 )
 from .expsets import ExpVec, MonomialSet, reduce_exponent
-from .gf import FieldSpec, field
+from .gf import FieldSpec, check_budget, field
 
 DEFAULT_CLASS_BUDGET = 10**7
-BUDGET_ENV_VAR = "SQUARECODES_BUDGET"
 GENMAT_BUDGET = 1 << 26  # cap on matrix entries materialized at once
 _BLOCK_ROWS = 1 << 16  # codewords per numpy block in exhaustive walks
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument beats the SQUARECODES_BUDGET env var beats 10**7."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_CLASS_BUDGET
+    """The class budget: ``budget`` itself, an integer >= 1, or
+    DEFAULT_CLASS_BUDGET when it is None.  Anything else, bools included,
+    raises RangeError."""
+    if budget is None:
+        return DEFAULT_CLASS_BUDGET
+    try:
+        cap = None if isinstance(budget, bool) else operator.index(budget)
+    except TypeError:
+        cap = None
+    if cap is None or cap < 1:
+        raise RangeError(f"the class budget must be an integer >= 1, got {budget!r}")
+    return cap
 
 
 @dataclass
@@ -86,10 +90,7 @@ def generator_matrix(A: MonomialSet) -> GeneratorMatrix:
     """
     F = field(A.q)
     n = F.q ** A.m
-    if n * max(len(A), 1) > GENMAT_BUDGET:
-        raise BudgetExceeded(
-            f"materializing {len(A)} rows of length {n} exceeds {GENMAT_BUDGET} entries"
-        )
+    check_budget(n * max(len(A), 1), GENMAT_BUDGET, f"the entries of {len(A)} rows of length {n}")
     tab = F.tables()
     # column j of the grid: index of the point's j-th coordinate
     axis = [
@@ -171,10 +172,7 @@ def schur_square_matrix(G: GeneratorMatrix) -> GeneratorMatrix:
     if k == 0:
         raise EmptySet("square of a zero code")
     pairs = k * (k + 1) // 2
-    if pairs * G.n > GENMAT_BUDGET:
-        raise BudgetExceeded(
-            f"{pairs} product rows of length {G.n} exceed {GENMAT_BUDGET} entries"
-        )
+    check_budget(pairs * G.n, GENMAT_BUDGET, f"the entries of {pairs} product rows of length {G.n}")
     tab = G.field.tables()
     ii, jj = np.triu_indices(k)
     P = tab.mul[G.rows[ii], G.rows[jj]]
@@ -226,14 +224,13 @@ def _projective_weight_counts(G: GeneratorMatrix) -> np.ndarray:
     return counts
 
 
-def _check_class_budget(q: int, k: int, budget: int | None) -> int:
-    classes = (q**k - 1) // (q - 1)
-    cap = resolve_budget(budget)
-    if classes > cap:
-        raise BudgetExceeded(
-            f"(q^k - 1)/(q - 1) = {classes} message classes exceed the budget {cap}"
-        )
-    return classes
+def _classes(q: int, k: int) -> int:
+    """(q^k - 1)/(q - 1): the projective message classes of a rank-k code."""
+    return (q**k - 1) // (q - 1)
+
+
+def _check_class_budget(q: int, k: int, cap: int) -> None:
+    check_budget(_classes(q, k), cap, f"the message classes at q = {q}, k = {k}")
 
 
 def min_distance_exhaustive(G: GeneratorMatrix, budget: int | None = None) -> int:
@@ -243,9 +240,10 @@ def min_distance_exhaustive(G: GeneratorMatrix, budget: int | None = None) -> in
     coordinate is 1 are expanded: (q^k - 1)/(q - 1) classes, checked against
     the budget before any allocation.
     """
+    cap = resolve_budget(budget)
     if G.k == 0:
         raise EmptySet("the zero code has no minimum distance")
-    _check_class_budget(G.field.q, G.k, budget)
+    _check_class_budget(G.field.q, G.k, cap)
     counts = _projective_weight_counts(G)
     nz = np.nonzero(counts[1:])[0]
     if nz.size == 0:
@@ -261,6 +259,7 @@ def weight_distribution_exhaustive(
     Row-reduces first so each codeword corresponds to exactly one message of
     the basis; each projective class then stands for q-1 codewords.
     """
+    cap = resolve_budget(budget)
     F = G.field
     basis, _ = rref(G.rows, F)
     B = GeneratorMatrix(F, G.m, basis)
@@ -268,7 +267,7 @@ def weight_distribution_exhaustive(
     dist[0] = 1
     if B.k == 0:
         return dist
-    _check_class_budget(F.q, B.k, budget)
+    _check_class_budget(F.q, B.k, cap)
     counts = _projective_weight_counts(B)
     for w in range(G.n + 1):
         dist[w] += int(counts[w]) * (F.q - 1)
@@ -279,8 +278,8 @@ def macwilliams_transform(dist: list[int], n: int, q: int) -> list[int]:
     """Weight distribution of the dual code, exactly (Krawtchouk sums).
 
     ``dist`` must be the full distribution of a code C of size sum(dist);
-    the result is the distribution of the dual, integer-exact (the division
-    by |C| is asserted to be exact).
+    the result is the distribution of the dual, integer-exact (a division
+    by |C| that leaves a remainder raises CrossCheckFailed).
     """
     size = sum(dist)
     out = []
@@ -294,7 +293,8 @@ def macwilliams_transform(dist: list[int], n: int, q: int) -> list[int]:
                 term = (q - 1) ** (j - s) * math.comb(w, s) * math.comb(n - w, j - s)
                 kraw += -term if s & 1 else term
             total += aw * kraw
-        assert total % size == 0, "MacWilliams sum not divisible by |C|"
+        if total % size:
+            raise CrossCheckFailed(f"MacWilliams sum at weight {j} not divisible by |C| = {size}")
         out.append(total // size)
     return out
 
@@ -307,27 +307,24 @@ def exact_min_distance(G: GeneratorMatrix, budget: int | None = None) -> int:
     through the MacWilliams identity.  Raises BudgetExceeded when neither
     side fits.
     """
+    cap = resolve_budget(budget)
     F = G.field
     basis, _ = rref(G.rows, F)
     k = basis.shape[0]
     if k == 0:
         raise EmptySet("the zero code has no minimum distance")
-    q = F.q
-    cap = resolve_budget(budget)
-    if (q**k - 1) // (q - 1) <= cap:
+    q, kd = F.q, G.n - k
+    primal = _classes(q, k)
+    what = f"the message classes of the code (k = {k}) and of its dual (n - k = {kd})"
+    check_budget(min(primal, _classes(q, kd)), cap, what)
+    if primal <= cap:
         return min_distance_exhaustive(GeneratorMatrix(F, G.m, basis), budget=cap)
-    kd = G.n - k
-    if (q**kd - 1) // (q - 1) <= cap:
-        H = dual_matrix(G)
-        dual_dist = weight_distribution_exhaustive(H, budget=cap)
-        primal = macwilliams_transform(dual_dist, G.n, q)
-        for w in range(1, G.n + 1):
-            if primal[w]:
-                return w
-        raise AssertionError("nonzero code with empty weight distribution")  # pragma: no cover
-    raise BudgetExceeded(
-        f"neither k = {k} nor n - k = {kd} fits the class budget {cap}"
-    )
+    dual_dist = weight_distribution_exhaustive(dual_matrix(G), budget=cap)
+    dist = macwilliams_transform(dual_dist, G.n, q)
+    for w in range(1, G.n + 1):
+        if dist[w]:
+            return w
+    raise CrossCheckFailed("a nonzero code whose weight distribution has no nonzero weight")
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +335,7 @@ def _check_witness_budget(terms: int, q: int, m: int) -> None:
     """Refuse a witness of ``terms`` monomials when terms * q^m, the entries
     of its support's generator matrix, exceeds GENMAT_BUDGET."""
     n = q**m
-    if terms * n > GENMAT_BUDGET:
-        raise BudgetExceeded(
-            f"a witness of {terms} monomials over {n} points exceeds {GENMAT_BUDGET} matrix entries"
-        )
+    check_budget(terms * n, GENMAT_BUDGET, f"the matrix entries of {terms} monomials on {n} points")
 
 
 def evaluate_poly(poly: dict[ExpVec, int], q: int, m: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BudgetExceeded, EmptySet, MismatchedAmbient, NotReduced, RangeError
-from .gf import POINT_BUDGET
+from .gf import POINT_BUDGET, check_budget
 
 ExpVec = tuple[int, ...]
 
@@ -49,10 +49,7 @@ def check_ambient(q: int, m: int) -> None:
 
 def check_box(shape, what: str) -> None:
     """Refuse a grid of the given shape over the point budget before it is built."""
-    size = math.prod(shape)
-    if size > POINT_BUDGET:
-        dims = " x ".join(map(str, shape))
-        raise BudgetExceeded(f"{what}: {dims} = {size} points exceed the point budget {POINT_BUDGET}")
+    check_budget(math.prod(shape), POINT_BUDGET, f"{what}, {' x '.join(map(str, shape))} points")
 
 
 def reduce_exponent(i: int, q: int) -> int:

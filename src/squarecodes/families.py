@@ -98,6 +98,7 @@ def hyperbolic_set(q: int, m: int, d: int) -> MonomialSet:
     """The largest exponent set whose footprint bound is still >= d."""
     if not isinstance(d, int) or d < 1:
         raise RangeError(f"designed distance must be a positive integer, got {d!r}")
+    check_ambient(q, m)
     top = q**m
     t = _grid(q, m, q, top + 1, "a hyperbolic set")
     return MonomialSet._from_indicator(q, m, math.prod(q - x for x in t) >= min(d, top + 1))
@@ -111,6 +112,7 @@ def half_hyperbolic_set(q: int, m: int, d: int) -> MonomialSet:
     """
     if not isinstance(d, int) or d < 1:
         raise RangeError(f"designed distance must be a positive integer, got {d!r}")
+    check_ambient(q, m)
     if d >= q**m:
         raise InvalidOrder(f"designed distance {d} must be < q^m = {q**m}")
     t = _grid(q, m, (q - 1) // 2 + 1, q**m, "a half-hyperbolic set")

@@ -24,11 +24,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidOrder, InversionOfZero, RangeError
+from .errors import BudgetExceeded, CrossCheckFailed, InvalidOrder, InversionOfZero, RangeError
 
 MAX_FIELD_ORDER = 1 << 16
 TABLE_LIMIT = 1 << 10  # largest q for which dense q*q numpy tables are built
-POINT_BUDGET = 1 << 22  # default cap on the number of grid points enumerated
+POINT_BUDGET = 1 << 22  # cap on the number of grid points enumerated
+
+
+def check_budget(size: int, cap: int, what: str) -> None:
+    """Refuse work of ``size`` units over ``cap`` before any of it is done.
+
+    Every budget in the package is enforced here, so every refusal is one
+    BudgetExceeded whose message names the work, its size and the cap.
+    """
+    if size > cap:
+        raise BudgetExceeded(f"{what}: {size} exceeds the budget {cap}")
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -217,7 +227,8 @@ class FieldSpec:
             exp[i] = x
             log[x] = i
             x = self._raw_mul(x, g)
-        assert x == 1, "generator order is not q-1"
+        if len(set(exp)) != self.q - 1:
+            raise CrossCheckFailed(f"{g} does not generate the unit group of GF({self.q})")
         self._exp, self._log = exp, log
 
     # -- scalar arithmetic ---------------------------------------------------
@@ -243,9 +254,6 @@ class FieldSpec:
             a //= p
             scale *= p
         return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -284,10 +292,7 @@ class FieldSpec:
         if self._tables is not None:
             return self._tables
         q = self.q
-        if q > TABLE_LIMIT:
-            raise BudgetExceeded(
-                f"dense operation tables need q <= {TABLE_LIMIT}, got q = {q}"
-            )
+        check_budget(q, TABLE_LIMIT, "the field order for dense operation tables")
         dtype = np.uint8 if q <= 256 else np.uint16
         if self.e == 1:
             v = np.arange(q, dtype=np.int64)
@@ -331,9 +336,6 @@ class FieldSpec:
 
     # -- misc ----------------------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def __repr__(self) -> str:  # pragma: no cover
         if self.e == 1:
             return f"GF({self.q})"
@@ -352,7 +354,7 @@ def field(q: int) -> FieldSpec:
     return FieldSpec(q)
 
 
-def enumerate_points(F: FieldSpec, m: int, budget: int | None = None) -> np.ndarray:
+def enumerate_points(F: FieldSpec, m: int) -> np.ndarray:
     """All q^m points of F^m as a (q^m, m) array of element indices.
 
     The order is lexicographic in the element indices with the FIRST
@@ -361,10 +363,8 @@ def enumerate_points(F: FieldSpec, m: int, budget: int | None = None) -> np.ndar
     """
     if m < 1:
         raise RangeError(f"need at least one variable, got m = {m}")
-    cap = POINT_BUDGET if budget is None else budget
     n = F.q ** m
-    if n > cap:
-        raise BudgetExceeded(f"q^m = {n} points exceeds the budget {cap}")
+    check_budget(n, POINT_BUDGET, f"the q^m points of GF({F.q})^{m}")
     idx = np.arange(n, dtype=np.int64)
     pts = np.empty((n, m), dtype=np.int64)
     for j in range(m):

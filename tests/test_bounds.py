@@ -22,7 +22,7 @@ from squarecodes.bounds import (
     rm_vs_hyp_comparison,
     wrm_beats_halfhyp,
 )
-from squarecodes.errors import BudgetExceeded, EmptySet, NotReduced, RangeError
+from squarecodes.errors import BudgetExceeded, CrossCheckFailed, EmptySet, NotReduced, RangeError
 from squarecodes.expsets import MonomialSet, square_support
 from squarecodes.families import (
     all_weighted_rm_sets,
@@ -317,7 +317,7 @@ def test_params_report_validation():
 
 
 def test_params_report_invariant_fb_at_most_d():
-    with pytest.raises(AssertionError):
+    with pytest.raises(CrossCheckFailed):
         ParamsReport(n=9, k=2, fb=5, d_exact=4, d_source="exhaustive")
 
 

@@ -1,13 +1,17 @@
 """End-to-end command-line checks: golden fixtures, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squarecodes.cli import (
     FAMILIES,
@@ -71,6 +75,14 @@ def test_construct_degree_zero(capsys):
     code, out, _ = run_cli(capsys, "construct", "--family", "rm", "--q", "11", "--m", "2", "--s", "0")
     assert code == 0
     assert out == '{"exponents": [[0, 0]], "m": 2, "q": 11}\n'
+
+
+@pytest.mark.parametrize("family", ["hyp", "halfhyp"])
+def test_construct_with_a_negative_m_exits_2(capsys, family):
+    argv = ["construct", "--family", family, "--q", "0", "--m", "-1", "--d", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: RangeError:")
 
 
 def test_construct_rejects_out_of_range(capsys):
@@ -262,6 +274,22 @@ def test_params_budget_propagates(capsys, tmp_path):
     assert code == 2 and "BudgetExceeded" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--family", "rm", "--q", "5", "--m", "2", "--s", "2"],
+        ["compare", "--q", "11", "--d", "6"],
+        ["table", "--preset", "reference"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_nonpositive_budget_exits_2(capsys, argv, budget):
+    code, out, err = run_cli(capsys, *argv, "--budget", budget)
+    assert code == 2 and out == ""
+    assert err.startswith("error: RangeError:")
+
+
 def test_unknown_table_preset(capsys):
     code, _, err = run_cli(capsys, "table", "--preset", "everything")
     assert code == 2 and "preset" in err
@@ -275,3 +303,103 @@ def test_module_entry_point_matches_fixture():
     )
     assert proc.returncode == 0
     assert proc.stdout == (FIXTURES / "table_reference.csv").read_text()
+
+
+# --- fuzz -----------------------------------------------------------------------
+
+JUNK = st.sampled_from(["", "x", "2.5", "1/0", "1e3"])
+
+
+def _value(valid, bad=JUNK):
+    """Mostly ``valid``, now and then ``bad`` (by default text no flag accepts)."""
+    return st.integers(0, 11).flatmap(lambda r: bad if r == 0 else valid)
+
+
+def _ints(lo, hi):
+    return _value(st.integers(lo, hi).map(str))
+
+
+VALUES = {
+    "--family": st.sampled_from([*FAMILIES, "file", "file", "nope"]),
+    "--q": _ints(-1, 12),
+    "--m": _ints(-1, 3),
+    "--d": _ints(-2, 130),
+    "--s": _value(st.integers(-1, 20).map(str) | st.sampled_from(["5/2", "7/3"])),
+    "--weights": _value(st.sampled_from(["1,1", "5,3", "1/2,3", "0,1", "1", "1,1,1"])),
+    "--effort": _value(st.sampled_from(["fb_only", "certify", "exhaustive"])),
+    "--budget": _ints(-3, 2000),  # always given, so that every walk stays small
+    "--format": _value(st.sampled_from(["json", "csv", "text"])),
+    "--preset": st.sampled_from(["reference", "reference", "other"]),
+    "--hyp": _ints(-1, 90),
+    "--file": st.sampled_from(["SET", "SET", "MISSING"]),
+    "--a": st.sampled_from(["SET", "SET", "MISSING"]),
+    "--b": st.sampled_from(["SET", "SET", "MISSING"]),
+}
+SELECTOR = ("--q", "--m", "--d", "--s", "--weights", "--file")
+OPTIONAL = {
+    "construct": SELECTOR,
+    "square": SELECTOR,
+    "certify": SELECTOR,
+    "params": SELECTOR + ("--effort", "--format"),
+    "verify": ("--b", "--hyp"),
+    "compare": ("--effort", "--format"),
+    "table": ("--preset", "--effort", "--format"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line that argparse mostly accepts: the verb's required flags
+    (one of them sometimes dropped), any of its other flags, junk values now
+    and then."""
+    verb = draw(st.sampled_from(sorted(OPTIONAL)))
+    family = draw(VALUES["--family"])
+    required = {
+        "verify": ["--a", draw(st.sampled_from(["--b", "--hyp"]))],
+        "compare": ["--q", "--d"],
+        "table": [],
+    }.get(verb, ["--family", *(FAMILIES[family][0] if family in FAMILIES else ["file"])])
+    required = ["--" + f.lstrip("-") for f in required]
+    if required and draw(st.integers(0, 9)) == 0:
+        required.remove(draw(st.sampled_from(required)))
+    extra = draw(st.lists(st.sampled_from(OPTIONAL[verb]), max_size=3, unique=True))
+    flags = dict.fromkeys(required + extra)
+    if verb in ("params", "compare", "table"):
+        flags["--budget"] = None
+    argv = [verb]
+    for flag in flags:
+        argv += [flag, family if flag == "--family" else draw(VALUES[flag])]
+    return argv
+
+
+@st.composite
+def exponent_json(draw):
+    """An exponent-set file, q <= 9 and m <= 2: mostly well formed, sometimes
+    with an unreduced, negative or misshapen member or a malformed field."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9]))
+    m = draw(st.integers(1, 2))
+    vec = st.lists(st.integers(0, q - 1), min_size=m, max_size=m)
+    odd = st.lists(st.integers(-1, 2 * q), min_size=m - 1, max_size=m + 1)
+    obj = {"q": q, "m": m, "exponents": draw(st.lists(_value(vec, odd), max_size=12))}
+    if draw(st.integers(0, 7)) == 0:
+        key = draw(st.sampled_from(sorted(obj)))
+        obj[key] = draw(st.sampled_from([None, 0, 1, 2.5, "5", [[0.5, 1]], [["a", 1]], [5]]))
+    return draw(st.sampled_from([obj] * 7 + [[], "text", {"q": q}]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argv(), obj=exponent_json())
+def test_fuzzed_command_lines_exit_0_1_or_2_without_a_traceback(argv, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.json"
+        path.write_text(json.dumps(obj))
+        missing = str(Path(tmp) / "missing.json")
+        argv = [str(path) if a == "SET" else missing if a == "MISSING" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+    assert code in (0, 1, 2), (argv, obj, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

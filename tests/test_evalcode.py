@@ -234,12 +234,11 @@ def test_weight_of_witness():
         weight_of_witness({(1, 1): 0}, A)
 
 
-def test_budget_resolution(monkeypatch):
-    monkeypatch.delenv("SQUARECODES_BUDGET", raising=False)
+def test_budget_resolution():
     assert resolve_budget() == 10**7
-    monkeypatch.setenv("SQUARECODES_BUDGET", "12345")
-    assert resolve_budget() == 12345
     assert resolve_budget(99) == 99
+    assert resolve_budget(1) == 1
+    assert resolve_budget(np.int64(7)) == 7
 
 
 def test_min_distance_budget_error():

@@ -189,4 +189,4 @@ def test_enumerate_points_order_frozen():
 
 def test_enumerate_points_budget():
     with pytest.raises(BudgetExceeded):
-        enumerate_points(field(11), 8, budget=10**6)
+        enumerate_points(field(11), 8)
