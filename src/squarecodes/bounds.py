@@ -34,11 +34,7 @@ def footprint_on_grid(A: MonomialSet, sizes: tuple[int, ...]) -> tuple[int, tupl
     """min over a in A of prod(n_j - a_j) for per-axis grid sizes n_j, and
     the members attaining it, in lex order.  A must be nonempty with
     a_j < n_j; the products are exact (Python integers past int64)."""
-    top = math.prod(sizes)
-    if exact_dtype(top) is object:
-        pts = np.array(A.exponents, dtype=object).reshape(-1, A.m)
-    else:
-        pts = A.points()
+    pts = A.points().astype(exact_dtype(math.prod(sizes)), copy=False)
     prods = np.prod(np.array(sizes, dtype=pts.dtype) - pts, axis=1)
     best = prods.min()
     exps = A.exponents
@@ -219,6 +215,8 @@ def _leaf_report(A: MonomialSet, effort: str, budget: int) -> ParamsReport:
         if res.exact:
             d_exact, d_source = res.d, "certificate"
         elif effort == "exhaustive":
+            # reduced monomials are independent: the rank is |A|, known before rref
+            evalcode._check_exact_budget(A.q, k, n, budget)
             G = evalcode.generator_matrix(A)
             d_exact = evalcode.exact_min_distance(G, budget=budget)
             d_source = "exhaustive"

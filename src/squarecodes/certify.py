@@ -40,6 +40,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import evalcode
 from .bounds import footprint_on_grid
 from .errors import CrossCheckFailed, EmptySet, NotReduced, RangeError
@@ -195,11 +197,14 @@ def _box_search(B: MonomialSet, argmins, punctured: tuple[bool, ...]):
     """First (beta, factors) whose coordinate box [0, beta_1] x ... x
     [0, beta_m] lies inside B: the product of beta_i linear factors per axis.
 
-    The roots are the first beta_i points of each axis's grid: indices 0.. on
-    a full axis, 1.. on a punctured one (index 0 is the removed zero).
+    B has no duplicates, so that holds exactly when prod(beta_i + 1) members
+    are <= beta componentwise.  The roots are the first beta_i points of each
+    axis's grid: indices 0.. on a full axis, 1.. on a punctured one (index 0
+    is the removed zero).
     """
+    pts = B.points()
     for beta in argmins:
-        if all(v in B for v in itertools.product(*[range(c + 1) for c in beta])):
+        if np.count_nonzero((pts <= beta).all(axis=1)) == math.prod(c + 1 for c in beta):
             starts = [1 if p else 0 for p in punctured]
             factors = tuple(
                 WitnessFactor(axis=i, kind="linear", roots=tuple(range(starts[i], starts[i] + b)))

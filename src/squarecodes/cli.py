@@ -40,6 +40,7 @@ from .families import (
     weighted_rm_set,
     wrm_even_optimal_set,
 )
+from .gf import _prime_power  # InvalidOrder unless q is a field order; builds no field
 
 COMPARE_HEADER = CSV_HEADER + ",alg1,winner"
 
@@ -65,9 +66,11 @@ def _load_set(path: str) -> MonomialSet:
     with open(path) as fh:
         obj = json.load(fh)
     try:
-        return MonomialSet.from_json(obj)
+        A = MonomialSet.from_json(obj)
     except (KeyError, TypeError) as exc:
         raise RangeError(f"file {path!r} does not match the exponent-set schema: {exc}")
+    _prime_power(A.q)
+    return A
 
 
 def _need(args, name):
@@ -122,6 +125,7 @@ def build_selected_set(args) -> tuple[MonomialSet, str, object]:
     if "m" not in needs and getattr(args, "m", None) not in (None, 2):
         raise RangeError(f"--family {family} is defined for m=2 only")
     A, d_design = _resolve_family(family, {flag: _need(args, flag) for flag in needs})
+    _prime_power(A.q)
     return A, family, d_design
 
 
@@ -211,6 +215,7 @@ def cmd_verify(args) -> int:
 def _compare_rows(q: int, d: int, effort: str, budget):
     if not isinstance(d, int) or not 1 <= d < q * q:
         raise RangeError(f"need 1 <= d < q^2, got d={d!r}")
+    _prime_power(q)
     B = hyperbolic_set(q, 2, d)
     rows = [("halfhyp", half_hyperbolic_set(q, 2, d), ConvexRegion(2, (), None, d))]
     if d < q:

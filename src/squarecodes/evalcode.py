@@ -233,6 +233,13 @@ def _check_class_budget(q: int, k: int, cap: int) -> None:
     check_budget(_classes(q, k), cap, f"the message classes at q = {q}, k = {k}")
 
 
+def _check_exact_budget(q: int, k: int, n: int, cap: int) -> None:
+    """Refuse exact_min_distance on a rank-k code of length n over GF(q)
+    when neither its message classes nor its dual's fit the class budget."""
+    what = f"the message classes of the code (k = {k}) and of its dual (n - k = {n - k})"
+    check_budget(min(_classes(q, k), _classes(q, n - k)), cap, what)
+
+
 def min_distance_exhaustive(G: GeneratorMatrix, budget: int | None = None) -> int:
     """Minimum weight over all nonzero codewords, by projective enumeration.
 
@@ -313,14 +320,11 @@ def exact_min_distance(G: GeneratorMatrix, budget: int | None = None) -> int:
     k = basis.shape[0]
     if k == 0:
         raise EmptySet("the zero code has no minimum distance")
-    q, kd = F.q, G.n - k
-    primal = _classes(q, k)
-    what = f"the message classes of the code (k = {k}) and of its dual (n - k = {kd})"
-    check_budget(min(primal, _classes(q, kd)), cap, what)
-    if primal <= cap:
+    _check_exact_budget(F.q, k, G.n, cap)
+    if _classes(F.q, k) <= cap:
         return min_distance_exhaustive(GeneratorMatrix(F, G.m, basis), budget=cap)
     dual_dist = weight_distribution_exhaustive(dual_matrix(G), budget=cap)
-    dist = macwilliams_transform(dual_dist, G.n, q)
+    dist = macwilliams_transform(dual_dist, G.n, F.q)
     for w in range(1, G.n + 1):
         if dist[w]:
             return w

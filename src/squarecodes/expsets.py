@@ -14,18 +14,21 @@ codewords multiplies monomials, i.e. adds exponents:
 
 The kernels work on dense integer grids: a reduced set keeps a (k, m) array
 of its members, and every boolean grid a kernel builds is checked against the
-point budget before it is allocated.
+point budget before it is allocated.  A set has one index, its lex order:
+``v in A`` is a binary search in it, and ``member_mask`` answers for a whole
+array of points at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptySet, MismatchedAmbient, NotReduced, RangeError
+from .errors import EmptySet, MismatchedAmbient, NotReduced, RangeError
 from .gf import POINT_BUDGET, check_budget
 
 ExpVec = tuple[int, ...]
@@ -103,7 +106,6 @@ class MonomialSet:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "exponents", tuple(sorted(seen)))
         object.__setattr__(self, "reduced", all(c <= q - 1 for v in seen for c in v))
-        object.__setattr__(self, "_index", frozenset(seen))
         object.__setattr__(self, "_points", None)
 
     @classmethod
@@ -117,25 +119,19 @@ class MonomialSet:
         exps = tuple(zip(*pts.T.tolist()))
         obj = object.__new__(cls)
         for name, value in (
-            ("q", q), ("m", m), ("exponents", exps), ("reduced", True),
-            ("_index", frozenset(exps)), ("_points", pts),
+            ("q", q), ("m", m), ("exponents", exps), ("reduced", True), ("_points", pts),
         ):
             object.__setattr__(obj, name, value)
         return obj
 
     def points(self) -> np.ndarray:
-        """The members as a read-only (k, m) int64 array, in lex order.
-
-        A coordinate >= 2^63 raises BudgetExceeded: no grid over it fits the
-        point budget."""
+        """The members as a read-only (k, m) array, in lex order: int64, or
+        Python integers (object dtype) when a coordinate is >= 2^63."""
         if self._points is None:
             try:
                 pts = np.array(self.exponents, dtype=np.int64).reshape(-1, self.m)
             except OverflowError:
-                raise BudgetExceeded(
-                    f"a coordinate of the set is >= 2^63; no grid over it fits the "
-                    f"point budget {POINT_BUDGET}"
-                ) from None
+                pts = np.array(self.exponents, dtype=object).reshape(-1, self.m)
             pts.flags.writeable = False
             object.__setattr__(self, "_points", pts)
         return self._points
@@ -147,7 +143,14 @@ class MonomialSet:
         return iter(self.exponents)
 
     def __contains__(self, v) -> bool:
-        return tuple(v) in self._index
+        """Binary search in the lex order; False, not an error, for a vector
+        of the wrong length or of non-integers."""
+        try:
+            t = _integers(v)
+        except RangeError:
+            return False
+        i = bisect.bisect_left(self.exponents, t)
+        return i < len(self.exponents) and self.exponents[i] == t
 
     def same_ambient(self, other: "MonomialSet") -> None:
         if (self.q, self.m) != (other.q, other.m):
@@ -214,34 +217,51 @@ def square_support(A: MonomialSet) -> MonomialSet:
     return MonomialSet._from_indicator(q, m, sums[folded])
 
 
+def member_mask(B: MonomialSet, pts) -> np.ndarray:
+    """Whether each row of the (n, m) integer array ``pts`` is a member of B.
+
+    Each member of B is a linear key over B's bounding box, ascending because
+    the members are in lex order; a row inside the box is looked up among the
+    keys by binary search, and a row outside it is no member.  Keys past
+    int64 are Python integers, so every answer is exact, and nothing larger
+    than |B| + n entries is allocated.
+    """
+    pts = np.asarray(pts)
+    hit = np.zeros(len(pts), dtype=bool)
+    if len(B) == 0 or len(pts) == 0:
+        return hit
+    members = B.points()
+    sides = members.max(axis=0) + 1
+    dtype = exact_dtype(math.prod(sides.tolist()))
+    strides = np.array([math.prod(sides[j + 1:].tolist()) for j in range(B.m)], dtype=dtype)
+    keys = members.astype(dtype) @ strides
+    inside = ((pts >= 0) & (pts < sides)).all(axis=1)
+    probe = pts[inside].astype(dtype) @ strides
+    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    hit[inside] = keys[at] == probe
+    return hit
+
+
 def is_lower_set(A: MonomialSet) -> bool:
     """True iff A is downward closed: with a, it contains every b <= a.
 
     Checking single-coordinate decrements suffices (induction on the sum).
     A lower set holds the box [0, a] under each member a, so no coordinate
-    reaches |A|; past that test each member is a linear key over the
-    bounding box, ascending because the members are in lex order, and every
-    decrement is looked up among the keys one axis at a time.
+    reaches |A|; past that test the decrements along each axis are looked
+    up with member_mask.
     """
     k = len(A)
     if k == 0:
         return True
     if any(A.exponents[0]):  # a nonempty lower set holds 0, its lex-first member
         return False
-    try:
-        pts = A.points()
-    except BudgetExceeded:  # a coordinate >= 2^63 > |A|
+    pts = A.points()
+    if pts.max() >= k:
         return False
-    sides = pts.max(axis=0) + 1
-    if sides.max() > k:
-        return False
-    dtype = exact_dtype(math.prod(sides.tolist()))
-    strides = [math.prod(sides[j + 1:].tolist()) for j in range(A.m)]
-    keys = pts.astype(dtype) @ np.array(strides, dtype=dtype)
-    for j, stride in enumerate(strides):
-        below = keys[pts[:, j] > 0] - stride
-        at = np.searchsorted(keys, below)
-        if not np.array_equal(keys[at], below):
+    for j in range(A.m):
+        below = pts[pts[:, j] > 0]
+        below[:, j] -= 1
+        if not member_mask(A, below).all():
             return False
     return True
 

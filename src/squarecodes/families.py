@@ -41,6 +41,7 @@ from .expsets import (
     dilate,
     exact_dtype,
     fold_indices,
+    member_mask,
     square_support,
 )
 
@@ -225,10 +226,9 @@ def square_design_violation(A: MonomialSet, B: MonomialSet) -> ExpVec | None:
         raise NotReduced("both sets must be reduced")
     if len(A) == 0:
         return None  # the zero code squares to itself, inside anything
-    for v in square_support(A):
-        if v not in B:
-            return v
-    return None
+    S = square_support(A)
+    inside = member_mask(B, S.points())
+    return None if inside.all() else S.exponents[int(inside.argmin())]
 
 
 def check_square_designed(A: MonomialSet, B: MonomialSet) -> bool:
@@ -321,42 +321,6 @@ class ConvexRegion:
             if prod < self.product_bound:
                 return False
         return True
-
-
-def _rat_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def region_to_json(C: ConvexRegion) -> dict:
-    return {
-        "halfspaces": [
-            {"w": [_rat_str(c) for c in h.normal], "b": _rat_str(h.bound)}
-            for h in C.halfspaces
-        ],
-        "box": None
-        if C.box is None
-        else {"lo": _rat_str(C.box[0]), "hi": _rat_str(C.box[1])},
-        "product": None if C.product_bound is None else {"d": C.product_bound},
-        "m": C.m,
-    }
-
-
-def region_from_json(obj: dict) -> ConvexRegion:
-    hs = tuple(
-        RationalHalfspace([Fraction(c) for c in h["w"]], Fraction(h["b"]))
-        for h in obj.get("halfspaces", [])
-    )
-    m = obj.get("m")
-    if m is None:
-        if not hs:
-            raise RangeError("region JSON needs 'm' when it has no halfspaces")
-        m = len(hs[0].normal)
-    box = obj.get("box")
-    if box is not None:
-        box = (Fraction(box["lo"]), Fraction(box["hi"]))
-    product = obj.get("product")
-    d = None if product is None else int(product["d"])
-    return ConvexRegion(int(m), hs, box, d)
 
 
 def _region_mask(C: ConvexRegion, q: int, side: int, scale: int) -> np.ndarray:

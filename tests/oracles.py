@@ -127,6 +127,26 @@ def is_lower_set_ref(A: MonomialSet) -> bool:
     return True
 
 
+def square_design_violation_ref(A: MonomialSet, B: MonomialSet):
+    """The lex-first member of A's square support that is not in B, each
+    looked up in a Python set of B's members; None when there is none."""
+    members = set(B)
+    for v in square_support_pairwise(A):
+        if v not in members:
+            return v
+    return None
+
+
+def box_fit_ref(A: MonomialSet):
+    """The first footprint argmin of A whose whole box [0, beta] lies in A,
+    every point of the box looked up; None when no argmin's box fits."""
+    members = set(A)
+    for beta in footprint_ref(A, (A.q,) * A.m)[1]:
+        if all(v in members for v in product(*[range(c + 1) for c in beta])):
+            return beta
+    return None
+
+
 def d_epsilon_points(q: int, m: int, d: int, eps) -> list[tuple[int, ...]]:
     """Doubled points of the eps-orthant whose folded product drops below d.
 

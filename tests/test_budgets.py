@@ -7,6 +7,7 @@ and keeps the comparison the same.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -116,6 +117,28 @@ def test_exact_min_distance_routes_at_the_class_budget(monkeypatch):
         assert routes == route, budget
     with pytest.raises(BudgetExceeded):
         exact_min_distance(G, budget=126)
+
+
+def test_params_report_refuses_before_any_row_reduction(monkeypatch):
+    # a scattered q = 16, m = 3 set of 376 exponents has no exact certificate;
+    # its rank is |A|, so the class budget is decided without a row reduction
+    A = MonomialSet(16, 3, random.Random(376).sample(list(itertools.product(range(16), repeat=3)), 376))
+
+    def no_rref(*args):
+        raise AssertionError("rref ran before the class budget was decided")
+
+    monkeypatch.setattr(evalcode, "rref", no_rref)
+    with pytest.raises(BudgetExceeded, match=r"\(k = 376\) and of its dual \(n - k = 3720\)"):
+        params_report(A, effort="exhaustive")
+
+
+def test_params_report_refuses_with_the_message_of_exact_min_distance():
+    A = MonomialSet(5, 2, [(0, 0), (1, 2), (2, 1)])
+    with pytest.raises(BudgetExceeded) as direct:
+        exact_min_distance(generator_matrix(A), budget=3)
+    with pytest.raises(BudgetExceeded) as report:
+        params_report(A, effort="exhaustive", budget=3)
+    assert str(report.value) == str(direct.value)
 
 
 # --- validation of the class budget -----------------------------------------------

@@ -211,7 +211,38 @@ def test_square_of_a_coordinate_past_int64_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"q": 2**64, "m": 1, "exponents": [[2**64 - 1]]}))
     code, out, err = run_cli(capsys, "square", "--family", "file", "--file", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error: BudgetExceeded:")
+    assert err.startswith("error: InvalidOrder:")
+
+
+def test_square_of_an_unreduced_coordinate_past_int64_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"q": 5, "m": 1, "exponents": [[2**64 - 1]]}))
+    code, out, err = run_cli(capsys, "square", "--family", "file", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: NotReduced:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "file", "--file", "Q6"],
+        ["square", "--family", "file", "--file", "Q6"],
+        ["params", "--family", "rm", "--q", "6", "--m", "2", "--s", "2", "--effort", "fb_only"],
+        ["certify", "--family", "hyp", "--q", "6", "--m", "2", "--d", "3"],
+        ["verify", "--a", "Q6", "--hyp", "3"],
+        ["verify", "--a", "Q5", "--b", "Q6"],
+        ["compare", "--q", "6", "--d", "3"],
+        ["params", "--family", "halfhyp", "--q", "6", "--m", "2", "--d", "3", "--format", "csv"],
+    ],
+    ids=["construct", "square", "params-fb_only", "certify", "verify-a", "verify-b", "compare", "params-csv"],
+)
+def test_a_q_that_is_no_field_order_exits_2(tmp_path, capsys, argv):
+    for q in (5, 6):
+        (tmp_path / f"q{q}.json").write_text(json.dumps({"q": q, "m": 2, "exponents": [[0, 0], [1, 0]]}))
+    argv = [str(tmp_path / f"q{a[1]}.json") if a in ("Q5", "Q6") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: InvalidOrder:")
 
 
 def test_verify_needs_exactly_one_target(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exponent-set algebra: folding, Minkowski sums, square supports."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,6 +63,13 @@ def test_monomial_set_sorts_and_dedupes():
     assert (0, 1) in A
     assert (4, 4) not in A
     assert A.reduced
+
+
+def test_membership_of_malformed_vectors_is_false():
+    A = MonomialSet(5, 2, [(0, 0), (0, 1), (1, 0)])
+    assert [0, 1] in A and (np.int64(1), 0) in A
+    for v in [(0,), (0, 1, 0), (), (0.0, 1), (0, 1.5), ("a", 1), (None, 0), "ab", 7]:
+        assert v not in A
 
 
 def test_monomial_set_flags_unreduced():

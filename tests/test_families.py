@@ -29,9 +29,7 @@ from squarecodes.families import (
     hyperbolic_set,
     necessary_condition_check,
     reed_muller_set,
-    region_from_json,
     region_lattice_points,
-    region_to_json,
     square_design_violation,
     weighted_rm_set,
     wrm_even_optimal_set,
@@ -229,18 +227,6 @@ def test_region_validation():
         ConvexRegion(2, [RationalHalfspace((1,), 3)])
     with pytest.raises(RangeError):
         ConvexRegion(2, product_bound=6).contains((1, 1))  # q missing
-
-
-def test_region_json_round_trip():
-    C = ConvexRegion(
-        2,
-        [RationalHalfspace((1, Fraction(17, 16)), Fraction(65, 8))],
-        box=(0, 10),
-        product_bound=None,
-    )
-    assert region_from_json(region_to_json(C)) == C
-    P = ConvexRegion(2, product_bound=6)
-    assert region_from_json(region_to_json(P)) == P
 
 
 def test_algorithm1_on_half_hyperbolic_region():

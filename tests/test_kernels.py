@@ -1,8 +1,9 @@
 """The integer-grid kernels agree exactly with their scalar references.
 
 Square supports, the four family constructors, the staircase, the footprint
-bound, Algorithm 1, the lower-set test and witness evaluation are computed
-over numpy arrays; oracles.py keeps the point-by-point definitions.  Random
+bound, Algorithm 1, the lower-set test, set membership, the square-design
+check, the box certificate and witness evaluation are computed over numpy
+arrays; oracles.py keeps the point-by-point definitions.  Random
 sets, lower and not, are drawn over q in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 and m in 1..4; where a scalar reference would walk more than a few thousand
 points per example, the ambient is capped (noted at each strategy).
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     algorithm1_violation_ref,
+    box_fit_ref,
     evaluate_poly_ref,
     footprint_ref,
     half_hyperbolic_ref,
@@ -25,15 +27,16 @@ from oracles import (
     linear_product_ref,
     reed_muller_ref,
     region_lattice_points_ref,
+    square_design_violation_ref,
     square_support_pairwise,
     staircase_ref,
     weighted_rm_ref,
 )
 from squarecodes.bounds import footprint_argmins, footprint_bound, footprint_on_grid
-from squarecodes.certify import WitnessFactor, certified_min_distance
+from squarecodes.certify import WitnessFactor, box_certificate, certified_min_distance
 from squarecodes.errors import BudgetExceeded
 from squarecodes.evalcode import GENMAT_BUDGET, evaluate_poly, weight_of_witness
-from squarecodes.expsets import MonomialSet, is_lower_set, square_support
+from squarecodes.expsets import MonomialSet, is_lower_set, member_mask, square_support
 from squarecodes.families import (
     ConvexRegion,
     RationalHalfspace,
@@ -42,6 +45,7 @@ from squarecodes.families import (
     hyperbolic_set,
     reed_muller_set,
     region_lattice_points,
+    square_design_violation,
     weighted_rm_set,
     wrm_even_optimal_set,
 )
@@ -143,6 +147,62 @@ def test_is_lower_set_with_coordinates_past_int64():
     assert is_lower_set(MonomialSet(256, 8, axes))
     assert not is_lower_set(MonomialSet(256, 8, axes[:100] + axes[101:]))
     assert not is_lower_set(MonomialSet(2**70, 1, [(0,), (2**65,)]))
+
+
+# --- membership -----------------------------------------------------------------
+
+empty_sets = st.builds(MonomialSet, st.sampled_from(QS), st.integers(1, 4), st.just(()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(any_sets, empty_sets), st.data())
+def test_member_mask_matches_a_python_set(B, data):
+    # queries run one past the ambient on each side, so many leave B's box
+    anywhere = st.lists(st.tuples(*[st.integers(-1, B.q)] * B.m), max_size=30)
+    members_only = st.lists(st.sampled_from(B.exponents or ((0,) * B.m,)), max_size=5)
+    pts = data.draw(anywhere | members_only)
+    members = set(B)
+    expected = [v in members for v in pts]
+    assert member_mask(B, np.array(pts, dtype=np.int64).reshape(-1, B.m)).tolist() == expected
+    assert [v in B for v in pts] == expected
+
+
+def test_member_mask_outside_the_box():
+    # over B's box [0, 1]^2 the keys are 2 a_0 + a_1: (1, -1) and (0, 2) would
+    # alias (0, 1) and (1, 0) if they were keyed at all
+    B = MonomialSet(5, 2, [(0, 1), (1, 0)])
+    pts = [(1, -1), (0, 2), (-1, 3), (2, -2), (0, 1), (1, 0), (1, 1)]
+    assert member_mask(B, pts).tolist() == [False] * 4 + [True, True, False]
+
+
+def test_member_mask_with_keys_past_int64():
+    # 250^8 linear keys do not fit int64; a coordinate of 2^65 does not fit at all
+    axes = [(0,) * 8] + [tuple(i * (t == j) for t in range(8)) for j in range(8) for i in range(1, 250)]
+    B = MonomialSet(256, 8, axes[:100] + axes[101:])
+    pts = [axes[99], axes[100], axes[-1], (249,) * 8, (250,) + (0,) * 7]
+    assert member_mask(B, pts).tolist() == [True, False, True, False, False]
+    huge = MonomialSet(2**70, 2, [(0, 1), (2**65, 3)])
+    pts = np.array([(2**65, 3), (2**65, 2), (0, 1), (1, 0)], dtype=object)
+    assert member_mask(huge, pts).tolist() == [True, False, True, False]
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_sets, st.data())
+def test_square_design_violation_matches_scalar_scan(A, data):
+    B = data.draw(st.one_of(
+        st.integers(1, A.q**A.m).map(lambda d: hyperbolic_set(A.q, A.m, d)),
+        st.lists(st.tuples(*[st.integers(0, A.q - 1)] * A.m), max_size=60).map(
+            lambda vecs: MonomialSet(A.q, A.m, vecs)
+        ),
+    ))
+    assert square_design_violation(A, B) == square_design_violation_ref(A, B)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(lower_sets(), near_lower_sets().filter(len), scattered_sets()))
+def test_box_certificate_matches_box_enumeration(A):
+    cert = box_certificate(A)
+    assert (None if cert is None else cert.alpha) == box_fit_ref(A)
 
 
 # --- witness evaluation -------------------------------------------------------
